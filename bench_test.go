@@ -386,11 +386,8 @@ func BenchmarkClassify(b *testing.B) {
 // BenchmarkParallelRewrite compares sequential and parallel engine runs on
 // structure-heavy circuits and records the results in BENCH_parallel.json:
 // wall seconds per worker count, per-stage seconds (enumerate / classify /
-// commit, summed over rounds), the conflict-partitioned commit's activity
-// (batches, clean-footprint skips, conflicts), the speedup relative to the
-// workers=1 row, and one sequential-commit comparison row at the widest
-// worker count so the parallel commit's contribution is measurable in
-// isolation. The AND counts must agree across every row — the engine's
+// commit, summed over rounds), and the speedup relative to the workers=1
+// row. The AND counts must agree across every row — the engine's
 // determinism contract — so the benchmark doubles as a smoke check.
 //
 // Honesty note: gomaxprocs and num_cpu record the real scheduler width and
@@ -405,15 +402,11 @@ func BenchmarkParallelRewrite(b *testing.B) {
 	type record struct {
 		Bench           string  `json:"bench"`
 		Workers         int     `json:"workers"`
-		Commit          string  `json:"commit"`
 		Seconds         float64 `json:"seconds_per_op"`
 		EnumSeconds     float64 `json:"enumerate_seconds"`
 		ClassifySeconds float64 `json:"classify_seconds"`
 		CommitSeconds   float64 `json:"commit_seconds"`
 		Speedup         float64 `json:"speedup_vs_workers1,omitempty"`
-		CommitBatches   int     `json:"commit_batches"`
-		CommitSkipped   int     `json:"commit_skipped"`
-		CommitConflicts int     `json:"commit_conflicts"`
 		FinalAnds       int     `json:"final_ands"`
 		HitRate         float64 `json:"class_cache_hit_rate"`
 		GOMAXPROCS      int     `json:"gomaxprocs"`
@@ -421,11 +414,11 @@ func BenchmarkParallelRewrite(b *testing.B) {
 		Note            string  `json:"note,omitempty"`
 	}
 	var records []record
-	// One row per (bench, workers, commit) triple even though the harness
-	// invokes each sub-benchmark more than once.
+	// One row per (bench, workers) pair even though the harness invokes
+	// each sub-benchmark more than once.
 	upsert := func(rec record) {
 		for i := range records {
-			if records[i].Bench == rec.Bench && records[i].Workers == rec.Workers && records[i].Commit == rec.Commit {
+			if records[i].Bench == rec.Bench && records[i].Workers == rec.Workers {
 				records[i] = rec
 				return
 			}
@@ -441,35 +434,22 @@ func BenchmarkParallelRewrite(b *testing.B) {
 	if workerCounts[1] == 1 {
 		workerCounts[1] = 4 // still exercise the pool on single-core machines
 	}
-	type variant struct {
-		workers   int
-		seqCommit bool
-	}
-	variants := []variant{{workerCounts[0], false}, {workerCounts[1], false}, {workerCounts[1], true}}
 	for _, name := range []string{"adder-64", "multiplier"} {
 		bm, ok := bench.ByName(name)
 		if !ok {
 			b.Fatalf("unknown benchmark %s", name)
 		}
-		finals := map[variant]int{}
+		finals := map[int]int{}
 		baseline := map[string]float64{} // seconds of the workers=1 row
-		for _, v := range variants {
-			commit := "parallel"
-			if v.seqCommit || v.workers == 1 {
-				commit = "sequential" // workers=1 always takes the reference pass
-			}
-			b.Run(fmt.Sprintf("%s/workers=%d/commit=%s", name, v.workers, commit), func(b *testing.B) {
+		for _, workers := range workerCounts {
+			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
 				var rec record
 				for i := 0; i < b.N; i++ {
 					db := mcdb.New(mcdb.Options{})
-					res := core.MinimizeMC(bm.Build(), core.Options{
-						MaxRounds: 2, Workers: v.workers, DB: db,
-						SequentialCommit: v.seqCommit,
-					})
+					res := core.MinimizeMC(bm.Build(), core.Options{MaxRounds: 2, Workers: workers, DB: db})
 					rec = record{
 						Bench:      name,
-						Workers:    v.workers,
-						Commit:     commit,
+						Workers:    workers,
 						FinalAnds:  res.Network.NumAnds(),
 						HitRate:    db.Stats().ClassHitRate(),
 						GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -480,14 +460,11 @@ func BenchmarkParallelRewrite(b *testing.B) {
 						rec.EnumSeconds += r.EnumerateTime.Seconds()
 						rec.ClassifySeconds += r.ClassifyTime.Seconds()
 						rec.CommitSeconds += r.CommitTime.Seconds()
-						rec.CommitBatches += r.CommitBatches
-						rec.CommitSkipped += r.CommitSkipped
-						rec.CommitConflicts += r.CommitConflicts
 					}
 				}
-				finals[v] = rec.FinalAnds
+				finals[workers] = rec.FinalAnds
 				rec.Seconds = b.Elapsed().Seconds() / float64(b.N)
-				if v.workers == 1 && !v.seqCommit {
+				if workers == 1 {
 					baseline[name] = rec.Seconds
 				} else if base := baseline[name]; base > 0 {
 					rec.Speedup = base / rec.Seconds
@@ -498,11 +475,9 @@ func BenchmarkParallelRewrite(b *testing.B) {
 				upsert(rec)
 			})
 		}
-		for _, v := range variants[1:] {
-			if finals[v] != finals[variants[0]] {
-				b.Fatalf("%s: workers=%d seqCommit=%v yields %d ANDs, sequential %d — determinism broken",
-					name, v.workers, v.seqCommit, finals[v], finals[variants[0]])
-			}
+		if finals[workerCounts[1]] != finals[1] {
+			b.Fatalf("%s: workers=%d yields %d ANDs, sequential %d — determinism broken",
+				name, workerCounts[1], finals[workerCounts[1]], finals[1])
 		}
 	}
 	data, err := json.MarshalIndent(records, "", "  ")

@@ -48,19 +48,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mcbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		table     = fs.String("table", "all", "which table to regenerate: 1, 2, all, or ext (beyond-paper benchmarks)")
-		quick     = fs.Bool("quick", false, "cap convergence at 3 rounds and skip the largest circuits")
-		only      = fs.String("only", "", "comma-separated benchmark names to run")
-		cutSize   = fs.Int("k", 6, "cut size K")
-		cutLimit  = fs.Int("cuts", 12, "priority cuts per node")
-		costName  = fs.String("cost", "mc", "cost model: mc (AND count), size (AND+XOR), or depth (multiplicative depth)")
-		workers   = fs.Int("workers", 0, "worker goroutines for the parallel stages (0 = GOMAXPROCS); results are identical for any value")
-		seqCommit = fs.Bool("seq-commit", false, "force the sequential reference commit pass (identical result; for bisecting determinism bugs)")
-		incr      = fs.Bool("incremental", true, "reuse cut lists and classifications across rounds (identical result either way)")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile here (filter stages with -tagfocus stage=...)")
-		memProf   = fs.String("memprofile", "", "write a heap allocation profile here")
-		traceOut  = fs.String("trace", "", "write a runtime execution trace here")
-		ablation  = fs.Bool("ablation", false, "run the cut-size and cut-limit ablations instead")
+		table    = fs.String("table", "all", "which table to regenerate: 1, 2, all, or ext (beyond-paper benchmarks)")
+		quick    = fs.Bool("quick", false, "cap convergence at 3 rounds and skip the largest circuits")
+		only     = fs.String("only", "", "comma-separated benchmark names to run")
+		cutSize  = fs.Int("k", 6, "cut size K")
+		cutLimit = fs.Int("cuts", 12, "priority cuts per node")
+		costName = fs.String("cost", "mc", "cost model: mc (AND count), size (AND+XOR), or depth (multiplicative depth)")
+		workers  = fs.Int("workers", 0, "worker goroutines for the parallel stages (0 = GOMAXPROCS); results are identical for any value")
+		incr     = fs.Bool("incremental", true, "reuse cut lists and classifications across rounds (identical result either way)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile here (filter stages with -tagfocus stage=...)")
+		memProf  = fs.String("memprofile", "", "write a heap allocation profile here")
+		traceOut = fs.String("trace", "", "write a runtime execution trace here")
+		ablation = fs.Bool("ablation", false, "run the cut-size and cut-limit ablations instead")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
@@ -144,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	db := mcdb.New(mcdb.Options{})
-	coreOpts := core.Options{CutSize: *cutSize, CutLimit: *cutLimit, Cost: model, Workers: *workers, DB: db, NoIncremental: !*incr, SequentialCommit: *seqCommit}
+	coreOpts := core.Options{CutSize: *cutSize, CutLimit: *cutLimit, Cost: model, Workers: *workers, DB: db, NoIncremental: !*incr}
 
 	emit := func(title string, list []bench.Benchmark, opts tables.Options) int {
 		rows, err := tables.Run(list, opts)

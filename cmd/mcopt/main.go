@@ -80,7 +80,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		verify    = fs.Bool("verify", false, "miter-check every round against the input; roll back and fail on mismatch")
 		timeout   = fs.Duration("timeout", 0, "stop optimizing after this long and keep the best network so far (0 = no limit)")
 		workers   = fs.Int("workers", 0, "worker goroutines for the parallel stages (0 = GOMAXPROCS); the result is identical for any value")
-		seqCommit = fs.Bool("seq-commit", false, "force the sequential reference commit pass (identical result; for bisecting determinism bugs)")
 		incr      = fs.Bool("incremental", true, "reuse cut lists and classifications across rounds (identical result either way)")
 		dbPath    = fs.String("db", "", "preload a persisted synthesis database (snapshot or legacy gob)")
 		dbSave    = fs.String("db-save", "", "persist the synthesis database here afterwards (atomic replace)")
@@ -155,15 +154,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	opts := core.Options{
-		CutSize:          *cutSize,
-		CutLimit:         *cutLimit,
-		Cost:             model,
-		MaxRounds:        *rounds,
-		AllowZeroGain:    *zeroGain,
-		Verify:           *verify,
-		Workers:          *workers,
-		NoIncremental:    !*incr,
-		SequentialCommit: *seqCommit,
+		CutSize:       *cutSize,
+		CutLimit:      *cutLimit,
+		Cost:          model,
+		MaxRounds:     *rounds,
+		AllowZeroGain: *zeroGain,
+		Verify:        *verify,
+		Workers:       *workers,
+		NoIncremental: !*incr,
 	}
 	if *dbPath != "" || *dbSave != "" {
 		opts.DB = mcdb.New(mcdb.Options{})

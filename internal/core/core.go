@@ -66,11 +66,6 @@ type Options struct {
 	// limit. The paper omits such functions; defaults to false.
 	UseIncomplete bool
 
-	// VerifyRewrites is retained for compatibility; the per-replacement
-	// truth-table check it used to enable is now always on (mismatches are
-	// rejected and counted in Result.Degraded rather than committed).
-	VerifyRewrites bool
-
 	// Verify runs an end-of-round equivalence miter (exhaustive for narrow
 	// interfaces, 64-bit-parallel random simulation otherwise) against a
 	// snapshot of the input network. A failing round is rolled back and the
@@ -88,21 +83,12 @@ type Options struct {
 	// (0 = unlimited) — a budget knob for latency-bounded callers.
 	MaxRewritesPerRound int
 
-	// Workers bounds the worker pool of the parallel cut-enumeration,
-	// classification, and commit-prediction stages of each round
-	// (0 = GOMAXPROCS, 1 = fully sequential). The committed network is
-	// bit-identical for every value: commits land in node-id order
-	// regardless, and the parallel commit only skips nodes proven to be
-	// no-ops (see DESIGN.md §14).
+	// Workers bounds the worker pool of the parallel cut-enumeration and
+	// classification stages of each round (0 = GOMAXPROCS, 1 = fully
+	// sequential). The committed network is bit-identical for every value:
+	// the commit stage is one sequential pass in node-id order, so
+	// parallelism only reorders cache warming, never commits.
 	Workers int
-
-	// SequentialCommit forces the commit stage of every round onto the
-	// single-threaded reference pass even when Workers > 1. The committed
-	// network is byte-identical either way — the parallel commit is
-	// conflict-gated precisely so it cannot diverge — so this switch exists
-	// for bisecting suspected determinism bugs in production and for
-	// measuring the parallel commit's contribution, not for correctness.
-	SequentialCommit bool
 
 	// NoIncremental disables the cross-round reuse of cut lists and
 	// classifications inside Minimize; every round then re-runs the full
@@ -172,16 +158,6 @@ type RoundStats struct {
 	EnumerateTime time.Duration
 	ClassifyTime  time.Duration
 	CommitTime    time.Duration
-
-	// Parallel-commit observability, all zero when the round used the
-	// sequential commit pass: CommitBatches counts the conflict-free
-	// batches the partitioner formed from predicted rewrites, CommitSkipped
-	// the nodes finalized by the predictor's clean-footprint proof without
-	// re-evaluation, and CommitConflicts the nodes re-evaluated because an
-	// earlier commit wrote into their read footprint.
-	CommitBatches   int
-	CommitSkipped   int
-	CommitConflicts int
 }
 
 // Degradation counts the defensive events of a run: each counter is one
@@ -311,20 +287,23 @@ type replacement struct {
 }
 
 // functionOf evaluates the function of lit as a truth table over the given
-// leaf literals. The cone of lit must be bounded by the leaves.
-func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit) tt.T {
+// leaf literals. The second result is false, and the table meaningless, when
+// the cone of lit reaches a primary input that is not a leaf.
+func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit) (tt.T, bool) {
 	n := len(leaves)
 	memo := map[int]tt.T{0: tt.Const0(n)}
 	for i, l := range leaves {
 		memo[l.Node()] = tt.Var(i, n).Xor(constIf(l.Compl(), n))
 	}
+	bounded := true
 	var eval func(id int) tt.T
 	eval = func(id int) tt.T {
 		if t, ok := memo[id]; ok {
 			return t
 		}
-		if !net.IsGate(id) {
-			panic("core: functionOf cone escapes its leaves")
+		if !bounded || !net.IsGate(id) {
+			bounded = false
+			return tt.Const0(n)
 		}
 		f0, f1 := net.Fanins(id)
 		a := eval(f0.Node()).Xor(constIf(f0.Compl(), n))
@@ -339,7 +318,7 @@ func functionOf(net *xag.Network, lit xag.Lit, leaves []xag.Lit) tt.T {
 		return t
 	}
 	out := eval(net.Resolve(lit).Node())
-	return out.Xor(constIf(net.Resolve(lit).Compl(), n))
+	return out.Xor(constIf(net.Resolve(lit).Compl(), n)), bounded
 }
 
 func constIf(c bool, n int) tt.T {

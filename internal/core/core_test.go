@@ -174,17 +174,17 @@ func randomNetwork(rng *rand.Rand, nPIs, nGates int) *xag.Network {
 	return n.Cleanup()
 }
 
-func TestVerifyRewritesMode(t *testing.T) {
-	// The paranoid mode recomputes every replacement's function; it must
-	// pass silently on valid rewrites.
+func TestRewriteCheckSilentOnValidRewrites(t *testing.T) {
+	// The always-on per-replacement check recomputes every replacement's
+	// function; it must pass silently on valid rewrites.
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 6; trial++ {
 		n := randomNetwork(rng, 7, 80)
-		res := MinimizeMC(n, Options{VerifyRewrites: true, MaxRounds: 2})
+		res := MinimizeMC(n, Options{MaxRounds: 2})
 		equalOnRandom(t, n, res.Network, 3, int64(500+trial))
 	}
 	adder := rippleAdder(8)
-	res := MinimizeMC(adder, Options{VerifyRewrites: true})
+	res := MinimizeMC(adder, Options{})
 	if res.Network.NumAnds() != 8 {
 		t.Fatalf("verified run changed the result: %d ANDs", res.Network.NumAnds())
 	}

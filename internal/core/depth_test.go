@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cost"
+	"repro/internal/mcdb"
+	"repro/internal/sim"
 	"repro/internal/xag"
 )
 
@@ -59,6 +62,30 @@ func TestDepthModelParallelDeterminism(t *testing.T) {
 				t.Fatalf("%s: workers=%d depth-model network differs from sequential run", name, workers)
 			}
 		}
+	}
+}
+
+// TestDepthModelStaleStrashHitDeclined: on this control block an earlier
+// commit substitutes a node that a later replacement's structural hashing
+// hits, so the realized cone resolves through the substitute and reaches a
+// primary input outside the cut. The commit must decline that rewrite
+// without counting a recovered panic, and the result must stay equivalent.
+func TestDepthModelStaleStrashHitDeclined(t *testing.T) {
+	build := func() *xag.Network { return bench.ControlLogic("mix3258776528980504739", 7, 1, 4) }
+	var db *mcdb.DB
+	for _, workers := range []int{1, 2} {
+		in := build()
+		res := MinimizeMC(in, Options{Workers: workers, Cost: cost.Depth(), DB: db})
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if res.Degraded.RecoveredPanics != 0 {
+			t.Errorf("workers=%d: %d recovered panics, want 0", workers, res.Degraded.RecoveredPanics)
+		}
+		if err := sim.Equal(in, res.Network, 8, 1); err != nil {
+			t.Fatalf("workers=%d: optimized network not equivalent: %v", workers, err)
+		}
+		db = res.DB
 	}
 }
 

@@ -31,20 +31,14 @@ import (
 //     affine-classify it and fetch the representative circuit from the
 //     shared database — the expensive, embarrassingly parallel part. No
 //     worker touches the network; each writes only its own result slots.
-//  3. commit: an id-order pass re-validates every candidate's gain against
-//     the evolving network (MFFC, leaf liveness), applies the winners, and
-//     runs the always-on per-replacement truth-table check. With Workers >
-//     1 the pass is conflict-gated (parcommit.go): a parallel predictor
-//     evaluates every node against the round-start network and records its
-//     read footprint, a partitioner colors the predicted rewrites into
-//     non-overlapping batches for the metrics, and the id-order scan then
-//     skips exactly the nodes proven untouched by earlier commits,
-//     re-running everything else — so the committed network is byte-for-
-//     byte the sequential result.
+//  3. commit: a single goroutine walks the nodes in id order, re-validates
+//     every candidate's gain against the evolving network (MFFC, leaf
+//     liveness), applies the winners, and runs the always-on
+//     per-replacement truth-table check.
 //
 // Because stage 2 computes pure per-cut facts (deterministic classification
-// and synthesis results keyed by truth table) and stage 3 commits in
-// node-id order, the committed network never depends on worker scheduling.
+// and synthesis results keyed by truth table) and stage 3 is sequential in
+// node order, the committed network never depends on worker scheduling.
 //
 // An Engine itself must be used from one goroutine at a time (the
 // parallelism lives inside Round); the database it owns may be shared.
@@ -56,20 +50,12 @@ type Engine struct {
 
 	logMu sync.Mutex // serializes Options.Logf calls from workers
 
-	// Scratch for the engine-goroutine side of the commit stage; the
-	// parallel commit predictor gives each worker its own commitScratch.
-	sc commitScratch
-}
-
-// commitScratch bundles the reusable buffers of candidate re-validation —
-// MFFC cone buffers, a leaf-id buffer, TFI-walk stamps, and a region
-// staging slice — so evaluating a node's candidates allocates nothing. A
-// commitScratch belongs to one goroutine.
-type commitScratch struct {
-	cone      xag.ConeScratch
-	leafBuf   []int
-	tfi       xag.TFIScratch
-	regionTmp []int32
+	// Commit-stage scratch (the commit loop is single-threaded): reusable
+	// MFFC buffers, a leaf-id buffer, and TFI-walk stamps, so gain
+	// re-validation and the feedback check allocate nothing per candidate.
+	cone    xag.ConeScratch
+	leafBuf []int
+	tfi     xag.TFIScratch
 }
 
 // NewEngine returns an engine over db (one is created when nil) with the
@@ -258,11 +244,7 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 	net.BeginDirtyEpoch()
 	stageStart = time.Now()
 	pprof.Do(ctx, pprof.Labels("stage", "commit"), func(ctx context.Context) {
-		if e.parCommitEligible(order) {
-			err = e.commitStageParallel(ctx, net, order, cuts, prep, &stats, deg)
-		} else {
-			err = e.commitStage(ctx, net, order, cuts, prep, &stats, deg)
-		}
+		err = e.commitStage(ctx, net, order, cuts, prep, &stats, deg)
 	})
 	stats.CommitTime = time.Since(stageStart)
 	return finish(err)
@@ -541,29 +523,17 @@ func (e *Engine) commitNodeProtected(net *xag.Network, id int, cuts []cut.Cut, p
 // Algorithm 1), and applies it. It reports whether the node was
 // substituted.
 func (e *Engine) commitNode(net *xag.Network, id int, cuts []cut.Cut, prep []prepared, deg *Degradation) bool {
-	best := e.bestReplacement(net, id, cuts, prep, &e.sc, nil)
+	best := e.bestReplacement(net, id, cuts, prep)
 	return e.applyReplacement(net, id, best, deg)
 }
 
 // bestReplacement re-validates the node's prepared candidates against the
 // current network state and picks the most profitable one, or nil when no
-// candidate survives re-validation. It is a pure read of the network plus
-// scratch reuse — no substitution, logging, or counter update happens here,
-// which is what lets the parallel commit predictor run it speculatively.
-//
-// When rec is non-nil, every node id whose refs/repl state the evaluation
-// reads (or may read — dead leaves cut the scan short, so the full leaf
-// sets are a superset) is recorded: the node itself, each candidate's cut
-// leaves, and the MFFC interior plus fanout boundary of live candidates.
-// That set is the read footprint of the parallel commit's conflict check
-// and must stay complete; see DESIGN.md §14 before touching what the loop
-// reads.
-func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep []prepared, sc *commitScratch, rec *regionRec) *replacement {
+// candidate survives re-validation. It only reads the network; substitution,
+// logging, and counting are left to applyReplacement.
+func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep []prepared) *replacement {
 	model := e.opts.Cost
 	needsDepth := model.NeedsDepth()
-	if rec != nil {
-		rec.add(id)
-	}
 	var best *replacement
 	consider := func(r *replacement) {
 		if best == nil || r.gain > best.gain ||
@@ -581,9 +551,6 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 		live := true
 		for i := 0; i < c.Size(); i++ {
 			leaf := c.Leaf(i)
-			if rec != nil {
-				rec.add(leaf)
-			}
 			if net.Resolve(xag.MakeLit(leaf, false)).Node() != leaf {
 				live = false
 				break
@@ -599,16 +566,8 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 
 		// Re-validated cost of the cone the replacement would retire, against
 		// the evolving network; models that don't need depth never pay for it.
-		sc.leafBuf = c.AppendLeaves(sc.leafBuf[:0])
-		var oldAnds, oldXors int
-		if rec != nil {
-			oldAnds, oldXors, sc.regionTmp = net.MFFCRegionScratch(id, sc.leafBuf, &sc.cone, sc.regionTmp[:0])
-			for _, t := range sc.regionTmp {
-				rec.add(int(t))
-			}
-		} else {
-			oldAnds, oldXors = net.MFFCScratch(id, sc.leafBuf, &sc.cone)
-		}
+		e.leafBuf = c.AppendLeaves(e.leafBuf[:0])
+		oldAnds, oldXors := net.MFFCScratch(id, e.leafBuf, &e.cone)
 		old := cost.Costs{Ands: oldAnds, Xors: oldXors}
 		if needsDepth {
 			old.Depth = net.AndDepth(id)
@@ -650,11 +609,9 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 
 // applyReplacement realizes and substitutes the chosen candidate (nil means
 // "no profitable candidate" and is a no-op). It reports whether the node
-// was substituted. Realization happens even when the feedback or
-// truth-table check then rejects the candidate — the dangling nodes it
-// creates die in the end-of-round Cleanup but are observable within the
-// round, which is why the parallel commit re-runs (never replays) every
-// node whose footprint a prior commit touched.
+// was substituted. Realization happens even when a later check declines
+// the candidate; the dangling nodes it creates die in the end-of-round
+// Cleanup.
 func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, deg *Degradation) bool {
 	if best == nil {
 		return false
@@ -664,8 +621,15 @@ func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, d
 		return true
 	}
 	lit := best.realize()
-	if net.InTFIScratch(lit, id, &e.sc.tfi) {
+	if net.InTFIScratch(lit, id, &e.tfi) {
 		return false // replacement would feed back into the node's cone
+	}
+	got, bounded := functionOf(net, lit, best.leaves)
+	if !bounded {
+		// A structural-hash hit resolved to a node an earlier commit of
+		// this round substituted, and its replacement reaches past the
+		// cut's leaves; the cut no longer describes the realized cone.
+		return false
 	}
 	// Always-on per-replacement verification: the realized circuit must
 	// compute the cut function over its leaves. A mismatch means the
@@ -673,7 +637,7 @@ func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, d
 	// substitution is discarded (its dangling nodes die in the end-of-round
 	// Cleanup) and counted, so a sick database degrades optimization
 	// quality, never correctness.
-	if got := functionOf(net, lit, best.leaves); got != best.want {
+	if got != best.want {
 		deg.RejectedRewrites++
 		e.logf("core: node %d: rejected rewrite computing %s, want %s", id, got, best.want)
 		return false

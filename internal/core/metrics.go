@@ -20,11 +20,6 @@ type engineMetrics struct {
 	incompleteClass  *metrics.Counter
 	recoveredPanics  *metrics.Counter
 	rolledBackRounds *metrics.Counter
-
-	commitBatches   *metrics.Counter
-	commitConflicts *metrics.Counter
-	commitSkips     *metrics.Counter
-	commitBatchSize *metrics.Histogram
 }
 
 // newEngineMetrics registers (or re-binds) the engine counters on r. The
@@ -45,11 +40,6 @@ func newEngineMetrics(r *metrics.Registry) engineMetrics {
 		incompleteClass:  r.Counter("mcc_incomplete_classifications_total", "Cuts skipped because classification hit its iteration limit."),
 		recoveredPanics:  r.Counter("mcc_recovered_panics_total", "Per-node panics recovered during rewriting."),
 		rolledBackRounds: r.Counter("mcc_rolled_back_rounds_total", "Rounds rolled back by the end-of-round verification miter."),
-
-		commitBatches:   r.Counter("mcc_commit_batches_total", "Conflict-free batches the parallel commit partitioner formed from predicted rewrites."),
-		commitConflicts: r.Counter("mcc_commit_conflicts_total", "Commit-stage nodes re-evaluated because an earlier commit wrote into their read footprint."),
-		commitSkips:     r.Counter("mcc_commit_parallel_skips_total", "Commit-stage nodes finalized by the parallel predictor's clean-footprint proof without re-evaluation."),
-		commitBatchSize: r.Histogram("mcc_commit_batch_size", "Predicted rewrites per conflict-free commit batch.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
 	}
 }
 
@@ -59,19 +49,6 @@ func (m *engineMetrics) observeRound(stats RoundStats) {
 	m.rewrites.Add(int64(stats.Replacements))
 	if d := stats.Before.And - stats.After.And; d > 0 {
 		m.andsRemoved.Add(int64(d))
-	}
-	m.commitBatches.Add(int64(stats.CommitBatches))
-	m.commitConflicts.Add(int64(stats.CommitConflicts))
-	m.commitSkips.Add(int64(stats.CommitSkipped))
-}
-
-// observeCommitPartition records the batch-size distribution of one
-// parallel-commit partition.
-func (m *engineMetrics) observeCommitPartition(sizes []int) {
-	for _, s := range sizes {
-		if s > 0 {
-			m.commitBatchSize.Observe(float64(s))
-		}
 	}
 }
 

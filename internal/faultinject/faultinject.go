@@ -114,21 +114,6 @@ func Reset() {
 	active.Store(0)
 }
 
-// Armed reports whether a hook is currently installed at the given point.
-// Pipeline code may consult it to keep fault-injection semantics exact: the
-// parallel commit falls back to the sequential pass when PointNode is armed,
-// so hooks fire once per considered node in deterministic order, exactly as
-// the resilience tests expect. With no hooks anywhere this is a single
-// atomic load.
-func Armed(point string) bool {
-	if active.Load() == 0 {
-		return false
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return hooks[point] != nil
-}
-
 // Fired reports how many times a hook ran at the given point since the last
 // Reset.
 func Fired(point string) int {

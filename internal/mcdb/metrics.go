@@ -50,7 +50,7 @@ func (db *DB) RegisterMetrics(r *metrics.Registry) {
 		"Synthesized representative circuits in the database.",
 		func() float64 { return float64(db.NumEntries()) })
 
-	// SAT refiner activity (refine.go, DESIGN.md §16). Counters move only
+	// SAT refiner activity (refine.go, DESIGN.md §15). Counters move only
 	// while a Refine pass runs — offline via `mcdb refine` or in mcserved's
 	// background refiner goroutine.
 	r.CounterFunc("mcdb_refine_attempts_total",
@@ -72,7 +72,7 @@ func (db *DB) RegisterMetrics(r *metrics.Registry) {
 		"AND gates removed from stored circuits by refinement.",
 		func() float64 { return float64(db.stats.refineAndsSaved.Load()) })
 
-	// Classification fast-path observability (DESIGN.md §15). The step
+	// Classification fast-path observability (DESIGN.md §14). The step
 	// histogram ranges from trivial searches to the iteration limit; the
 	// incomplete counter mirrors mcdb_incomplete_classifications_total under
 	// the engine-facing mcc_* name the classify dashboards use.

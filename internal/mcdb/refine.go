@@ -241,7 +241,7 @@ func (db *DB) adoptRefined(e *Entry) bool {
 // clause pins the output parity to f(m).
 //
 // Symmetry breaking (all satisfiability-preserving per step count, see
-// DESIGN.md §16): operand masks are non-empty, every step output is used by
+// DESIGN.md §15): operand masks are non-empty, every step output is used by
 // a later operand or the output mask, and operand masks are lexicographically
 // ordered L ≤ M.
 type slpEncoder struct {

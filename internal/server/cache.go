@@ -53,13 +53,6 @@ func cacheKey(net *xag.Network, o RequestOptions) rescache.Key {
 	if o.Incremental == nil || *o.Incremental {
 		flags |= 4
 	}
-	// sequential_commit is deliberately part of the key even though both
-	// arms produce byte-identical networks: the option exists to bisect
-	// suspected determinism bugs, and serving its result from the other
-	// arm's cache entry would make the comparison vacuous.
-	if o.SequentialCommit {
-		flags |= 8
-	}
 	b[5] = flags
 	b[6] = 0 // reserved
 	h.Write(b[:])

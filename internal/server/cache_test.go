@@ -76,7 +76,7 @@ func TestCacheHitByteIdentity(t *testing.T) {
 
 // TestCacheKeyRespectsOptions checks that requests differing in an
 // engine-visible option do not share a cache entry, while options that
-// cannot change the output (workers, deadline) do.
+// cannot change the output (workers, deadline, sequential_commit) do.
 func TestCacheKeyRespectsOptions(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	circuit := benchBristol(t, "decoder")
@@ -101,6 +101,11 @@ func TestCacheKeyRespectsOptions(t *testing.T) {
 	// latency.
 	if got := post(RequestOptions{MaxRounds: 2, Workers: 3, DeadlineMS: 60000}); got != "hit" {
 		t.Errorf("workers/deadline variant missed: X-MC-Cache = %q, want hit", got)
+	}
+	// sequential_commit is a deprecated no-op, so it is not part of the key
+	// either.
+	if got := post(RequestOptions{MaxRounds: 2, SequentialCommit: true}); got != "hit" {
+		t.Errorf("sequential_commit variant missed: X-MC-Cache = %q, want hit", got)
 	}
 	if got := metricValue(t, s, "mcserved_cache_misses_total"); got != 2 {
 		t.Errorf("mcserved_cache_misses_total = %v, want 2", got)

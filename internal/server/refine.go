@@ -12,7 +12,7 @@ import (
 	"repro/internal/mcdb"
 )
 
-// The SAT refiner (mcdb/refine.go, DESIGN.md §16) runs inside the daemon in
+// The SAT refiner (mcdb/refine.go, DESIGN.md §15) runs inside the daemon in
 // two ways: POST /admin/refine triggers one pass on demand, and StartRefiner
 // runs low-intensity passes in the background so a long-lived warm database
 // tightens itself toward proven-optimal entries. Passes serialize on

@@ -377,10 +377,9 @@ type RequestOptions struct {
 	Incremental *bool  `json:"incremental,omitempty"` // default true
 	DeadlineMS  int    `json:"deadline_ms,omitempty"` // capped by Config.MaxDeadline
 
-	// SequentialCommit forces the commit stage onto the single-threaded
-	// reference pass. The optimized network is byte-identical either way;
-	// the option exists for bisecting suspected determinism bugs against
-	// live traffic (see API.md).
+	// SequentialCommit is accepted and ignored: the commit stage is always
+	// one sequential pass. Deprecated (see API.md); it is not part of the
+	// result-cache key.
 	SequentialCommit bool `json:"sequential_commit,omitempty"`
 }
 
@@ -564,7 +563,6 @@ func (s *Server) computeResult(ctx context.Context, dr *decodedRequest, preAdmit
 		mcc.WithMaxRounds(opts.MaxRounds),
 		mcc.WithVerify(opts.Verify),
 		mcc.WithZeroGain(opts.ZeroGain),
-		mcc.WithSequentialCommit(opts.SequentialCommit),
 	}
 	if opts.CutSize != 0 {
 		mopts = append(mopts, mcc.WithCutSize(opts.CutSize))

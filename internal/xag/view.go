@@ -135,34 +135,6 @@ func (n *Network) MFFCScratch(root int, leaves []int, s *ConeScratch) (ands, xor
 	if !n.IsGate(root) {
 		return 0, 0
 	}
-	ands, xors = n.mffcWalk(root, leaves, s)
-	s.release(leaves)
-	return ands, xors
-}
-
-// MFFCRegionScratch is MFFCScratch that additionally appends to region the
-// id of every node whose reference count the walk consulted: the MFFC
-// interior plus its fanout boundary (everything in s.touched). Together with
-// the root and the leaves — which the caller already holds — this is the
-// complete set of nodes whose refs/repl state the cone computation read, so
-// it is the read footprint the parallel commit's conflict analysis needs.
-// The appended ids may repeat across calls; callers dedupe.
-func (n *Network) MFFCRegionScratch(root int, leaves []int, s *ConeScratch, region []int32) (ands, xors int, out []int32) {
-	if !n.IsGate(root) {
-		return 0, 0, region
-	}
-	ands, xors = n.mffcWalk(root, leaves, s)
-	for _, id := range s.touched {
-		region = append(region, int32(id))
-	}
-	s.release(leaves)
-	return ands, xors, region
-}
-
-// mffcWalk runs the simulated-deref cone walk, leaving s populated (mark,
-// ref, leaf, touched) for the caller to inspect; s.release must be called
-// before the next query. The root must be a gate.
-func (n *Network) mffcWalk(root int, leaves []int, s *ConeScratch) (ands, xors int) {
 	s.grow(len(n.nodes))
 	for _, id := range leaves {
 		s.leaf[id] = true
@@ -195,12 +167,6 @@ func (n *Network) mffcWalk(root int, leaves []int, s *ConeScratch) (ands, xors i
 		}
 	}
 	deref(root)
-	return ands, xors
-}
-
-// release clears the marks a mffcWalk left behind, readying s for the next
-// query.
-func (s *ConeScratch) release(leaves []int) {
 	for _, id := range s.touched {
 		s.mark[id] = false
 	}
@@ -208,6 +174,7 @@ func (s *ConeScratch) release(leaves []int) {
 	for _, id := range leaves {
 		s.leaf[id] = false
 	}
+	return ands, xors
 }
 
 // MFFCAnds returns only the AND-gate count of the maximum fanout-free cone;

@@ -117,11 +117,6 @@ type Network struct {
 	// Dirty-region tracking for incremental cross-round rewriting; see
 	// dirty.go. Inactive (epoch 0) until BeginDirtyEpoch.
 	dirty dirtyState
-
-	// Write capture for the conflict-gated parallel commit; see region.go.
-	// Inactive (nil) until BeginWriteCapture.
-	wcap     *RegionStamp
-	wcapBase int // nodes created at id >= wcapBase are not captured
 }
 
 // New returns an empty network containing only the constant node.
@@ -166,7 +161,6 @@ func (n *Network) AddPO(l Lit, name string) int {
 	l = n.Resolve(l)
 	n.pos = append(n.pos, l)
 	n.poName = append(n.poName, name)
-	n.captureWrite(l.Node())
 	n.refs[l.Node()]++
 	return len(n.pos) - 1
 }
@@ -303,8 +297,6 @@ func (n *Network) lookupOrCreate(kind Kind, a, b Lit) Lit {
 	}
 	id := n.addNode(node{kind: kind, fan0: a, fan1: b})
 	n.strash[key] = id
-	n.captureWrite(a.Node())
-	n.captureWrite(b.Node())
 	n.refs[a.Node()]++
 	n.refs[b.Node()]++
 	// Eagerly stamp the new gate's depth when both fanins are current —
@@ -403,8 +395,6 @@ func (n *Network) Substitute(old int, replacement Lit) {
 		n.depthEpoch++
 	}
 	n.stampDirty(old)
-	n.captureWrite(old)
-	n.captureWrite(replacement.Node())
 	wasLive := n.refs[old] > 0
 	n.repl[old] = replacement
 	n.refs[replacement.Node()] += n.refs[old]
@@ -423,7 +413,6 @@ func (n *Network) deref(id int) {
 	}
 	for _, f := range [2]Lit{nd.fan0, nd.fan1} {
 		fid := n.Resolve(f).Node()
-		n.captureWrite(fid)
 		n.refs[fid]--
 		if n.refs[fid] == 0 {
 			n.deref(fid)

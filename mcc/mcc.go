@@ -93,19 +93,21 @@ func ReadBristol(r io.Reader) (*Network, error) { return xag.ReadBristol(r) }
 // An Option configures Optimize.
 type Option func(*core.Options)
 
-// WithWorkers bounds the worker pool of the parallel enumeration,
-// classification, and commit-prediction stages (0 = GOMAXPROCS,
-// 1 = sequential). The result is bit-identical for every value.
+// WithWorkers bounds the worker pool of the parallel enumeration and
+// classification stages (0 = GOMAXPROCS, 1 = sequential). The result is
+// bit-identical for every value; workers only change how fast the shared
+// caches warm up.
 func WithWorkers(n int) Option {
 	return func(o *core.Options) { o.Workers = n }
 }
 
-// WithSequentialCommit forces the commit stage onto its single-threaded
-// reference pass even with multiple workers. The result is byte-identical
-// either way; the switch exists for bisecting suspected determinism bugs
-// and for measuring the parallel commit's contribution.
+// WithSequentialCommit is ignored: the commit stage is always one
+// sequential pass.
+//
+// Deprecated: the parallel commit it switched off has been removed; drop
+// the option.
 func WithSequentialCommit(on bool) Option {
-	return func(o *core.Options) { o.SequentialCommit = on }
+	return func(*core.Options) {}
 }
 
 // WithVerify toggles the end-of-round equivalence miter against a snapshot
