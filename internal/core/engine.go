@@ -28,9 +28,10 @@ import (
 //
 //  1. enumerate: k-feasible priority cuts for every node (level-parallel);
 //  2. classify: workers shard the nodes, shrink each cut function,
-//     affine-classify it and fetch the representative circuit from the
-//     shared database — the expensive, embarrassingly parallel part. No
-//     worker touches the network; each writes only its own result slots.
+//     affine-classify it and, when the classification is usable, fetch the
+//     representative circuit from the shared database — the expensive,
+//     embarrassingly parallel part. No worker touches the network; each
+//     writes only its own result slots.
 //  3. commit: a single goroutine walks the nodes in id order, re-validates
 //     every candidate's gain against the evolving network (MFFC, leaf
 //     liveness), applies the winners, and runs the always-on
@@ -418,22 +419,7 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, memo *prepMemo, localPrep m
 		}
 		if mp == nil {
 			fresh = true
-			// Model-driven entry selection: the database may hold several
-			// circuits per class (an MC-optimal one, a shallower one); the
-			// model picks. For the MC model this is exactly the old Lookup.
-			entry, res := e.db.LookupModel(sh, e.opts.Cost)
-			mp = &memoPrep{entry: entry, tr: res.Tr, incomplete: !res.Complete}
-			switch {
-			case mp.incomplete && !e.opts.UseIncomplete:
-				// Skipped below; the entry is never consulted, so its
-				// validity is irrelevant.
-			case entry.Validate() != nil:
-				mp.invalid = true
-				e.logf("core: node %d: invalid database entry: %v", id, entry.Validate())
-			default:
-				mp.newAnds = entry.MC()
-				mp.newXors = entry.XorCost() + res.Tr.XorCost()
-			}
+			mp = e.lookup(id, sh)
 			if memo != nil {
 				mp = memo.put(sh, mp)
 			}
@@ -442,7 +428,7 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, memo *prepMemo, localPrep m
 		// Replay the verdict. Degradation counters stay per-cut (a memo hit
 		// on a bad function still counts), matching the memo-free path; only
 		// the log line is emitted once per function instead of per node.
-		if mp.incomplete && !e.opts.UseIncomplete {
+		if mp.incomplete {
 			deg.IncompleteClassifications++
 			continue
 		}
@@ -469,6 +455,31 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, memo *prepMemo, localPrep m
 		})
 	}
 	return out, fresh
+}
+
+// lookup resolves one shrunk cut function against the database. It
+// classifies first and fetches an entry only for a usable classification:
+// complete, or incomplete with Options.UseIncomplete set. A skipped cut never
+// reads its entry, and building one (exact search, then Davio recursion,
+// under the database lock) is the expensive half of a cold lookup.
+func (e *Engine) lookup(id int, sh tt.T) *memoPrep {
+	res := e.db.Classify(sh)
+	if !res.Complete && !e.opts.UseIncomplete {
+		return skipIncomplete
+	}
+	// Model-driven entry selection: the database may hold several circuits
+	// per class (an MC-optimal one, a shallower one); the model picks.
+	entry := e.db.EntryForModel(res.Repr, e.opts.Cost)
+	if err := entry.Validate(); err != nil {
+		e.logf("core: node %d: invalid database entry: %v", id, err)
+		return &memoPrep{invalid: true}
+	}
+	return &memoPrep{
+		entry:   entry,
+		tr:      res.Tr,
+		newAnds: entry.MC(),
+		newXors: entry.XorCost() + res.Tr.XorCost(),
+	}
 }
 
 // commitStage runs stage 3: the deterministic sequential pass that turns

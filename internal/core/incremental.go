@@ -16,10 +16,13 @@ import (
 // transform, costs, and the degradation verdicts. Within a Minimize the
 // per-class database state is append-stable (a class front is synthesized on
 // first lookup and never changes afterwards), so the memoized value is
-// exactly what a fresh LookupModel would return — replaying it preserves
-// bit-identical commits while skipping the lookup's lock, Pareto scan, and
-// validation for every repeated function. The memo is sharded like the
-// database's own classification cache so classify workers rarely contend.
+// exactly what a fresh Engine.lookup would compute — replaying it preserves
+// bit-identical commits while skipping the class-cache probe, the entry
+// fetch's lock and Pareto scan, and validation for every repeated function.
+// An incomplete classification that the engine skips memoizes as the shared
+// skipIncomplete verdict: no entry was fetched for it. The memo is sharded
+// like the database's own classification cache so classify workers rarely
+// contend.
 type prepMemo struct {
 	shards [16]prepMemoShard
 }
@@ -37,9 +40,14 @@ type memoPrep struct {
 	tr         spectral.Transform
 	newAnds    int
 	newXors    int
-	incomplete bool // counted as IncompleteClassifications when skipped
+	incomplete bool // skipped and counted as IncompleteClassifications
 	invalid    bool // counted as InvalidEntries
 }
+
+// skipIncomplete is the verdict of every incomplete classification while
+// Options.UseIncomplete is off. It is shared: no entry was fetched, so there
+// is nothing per function to keep.
+var skipIncomplete = &memoPrep{incomplete: true}
 
 func newPrepMemo() *prepMemo {
 	pm := &prepMemo{}

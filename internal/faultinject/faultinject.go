@@ -35,10 +35,10 @@ const (
 	// because the rewrite is internally consistent with the corrupted table).
 	PointCutFunction = "core/cut-function"
 
-	// PointDBEntry fires in mcdb.Lookup for every entry returned to the
-	// rewriter. Payload: *mcdb.Entry (as any) — corrupting steps or output
-	// mask simulates database corruption (caught by the per-rewrite
-	// truth-table check).
+	// PointDBEntry fires in mcdb.EntryForModel (and so in mcdb.Lookup) for
+	// every entry returned to the rewriter. Payload: *mcdb.Entry (as any) —
+	// corrupting steps or output mask simulates database corruption (caught
+	// by the per-rewrite truth-table check).
 	PointDBEntry = "mcdb/lookup-entry"
 
 	// PointNode fires in core once per node considered for rewriting.

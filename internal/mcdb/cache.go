@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/spectral"
+	"repro/internal/tt"
 )
 
 // The classification cache is the concurrency backbone of the parallel
@@ -24,9 +25,62 @@ import (
 // negligible for any plausible worker count while costing only a few kB.
 const classShardCount = 64
 
+// classVal is a spectral.Result packed into 24 bytes instead of the
+// struct's 112, so a cache that holds every function a long-lived database
+// has classified stays small. Every field round-trips exactly:
+//
+//	repr   Repr.Bits
+//	tr     bits 0–35   InputMask[i] at bit 6i (a mask over n ≤ 6 variables)
+//	       bits 36–41  InputCompl[i] at bit 36+i
+//	       bits 42–47  OutputMask
+//	       bit  48     OutputCompl
+//	       bit  49     Complete
+//	       bits 50–52  N, shared by Repr and Tr (Classify sets both to f.N)
+//	steps  Steps
+type classVal struct {
+	repr  uint64
+	tr    uint64
+	steps int64
+}
+
+func packClass(r spectral.Result) classVal {
+	w := uint64(r.Repr.N) << 50
+	for i := 0; i < tt.MaxVars; i++ {
+		w |= uint64(r.Tr.InputMask[i]) << (6 * i)
+		if r.Tr.InputCompl[i] {
+			w |= 1 << (36 + i)
+		}
+	}
+	w |= uint64(r.Tr.OutputMask) << 42
+	if r.Tr.OutputCompl {
+		w |= 1 << 48
+	}
+	if r.Complete {
+		w |= 1 << 49
+	}
+	return classVal{repr: r.Repr.Bits, tr: w, steps: int64(r.Steps)}
+}
+
+func (v classVal) result() spectral.Result {
+	n := int(v.tr >> 50 & 7)
+	r := spectral.Result{
+		Repr:     tt.T{Bits: v.repr, N: n},
+		Complete: v.tr>>49&1 == 1,
+		Steps:    int(v.steps),
+	}
+	r.Tr.N = n
+	for i := 0; i < tt.MaxVars; i++ {
+		r.Tr.InputMask[i] = uint(v.tr >> (6 * i) & 63)
+		r.Tr.InputCompl[i] = v.tr>>(36+i)&1 == 1
+	}
+	r.Tr.OutputMask = uint(v.tr >> 42 & 63)
+	r.Tr.OutputCompl = v.tr>>48&1 == 1
+	return r
+}
+
 type classShard struct {
 	mu sync.RWMutex
-	m  map[key]spectral.Result
+	m  map[key]classVal
 }
 
 type classCache struct {
@@ -36,7 +90,7 @@ type classCache struct {
 func newClassCache() *classCache {
 	c := &classCache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[key]spectral.Result)
+		c.shards[i].m = make(map[key]classVal)
 	}
 	return c
 }
@@ -51,9 +105,12 @@ func (c *classCache) shardOf(k key) *classShard {
 func (c *classCache) get(k key) (spectral.Result, bool) {
 	s := c.shardOf(k)
 	s.mu.RLock()
-	res, ok := s.m[k]
+	v, ok := s.m[k]
 	s.mu.RUnlock()
-	return res, ok
+	if !ok {
+		return spectral.Result{}, false
+	}
+	return v.result(), true
 }
 
 // put inserts res under k unless another goroutine got there first, and
@@ -64,9 +121,9 @@ func (c *classCache) put(k key, res spectral.Result) (spectral.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.m[k]; ok {
-		return prev, false
+		return prev.result(), false
 	}
-	s.m[k] = res
+	s.m[k] = packClass(res)
 	return res, true
 }
 

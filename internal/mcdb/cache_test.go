@@ -151,3 +151,107 @@ func TestConcurrentSaveDuringLookups(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestClassCacheRoundTrip: a packed class-cache value gives back every
+// spectral.Result field exactly, for n = 0…6, complete and incomplete, with
+// Steps up to spectral.DefaultLimit, and for results composed through the
+// semi-canonical second level.
+func TestClassCacheRoundTrip(t *testing.T) {
+	c := newClassCache()
+	var next uint64
+	check := func(what string, res spectral.Result) {
+		t.Helper()
+		if got := packClass(res).result(); got != res {
+			t.Fatalf("%s: packed round trip\n got %+v\nwant %+v", what, got, res)
+		}
+		// Through the cache itself, under a fresh key: put returns the
+		// canonical value, get unpacks it, and a second put adopts it.
+		next++
+		k := key{n: int8(res.Repr.N), bits: next}
+		if got, _ := c.put(k, res); got != res {
+			t.Fatalf("%s: put returned %+v", what, got)
+		}
+		if got, ok := c.get(k); !ok || got != res {
+			t.Fatalf("%s: get returned %+v, %v", what, got, ok)
+		}
+		if got, inserted := c.put(k, spectral.Result{}); inserted || got != res {
+			t.Fatalf("%s: second put returned %+v, %v", what, got, inserted)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(64))
+	mask := func(n int) uint { return uint(rng.Intn(1 << uint(n))) }
+	for n := 0; n <= tt.MaxVars; n++ {
+		// Every field at random, plus the extremes: all-ones masks and
+		// complements, zero and DefaultLimit steps.
+		for trial := 0; trial < 200; trial++ {
+			res := spectral.Result{
+				Repr:     tt.New(rng.Uint64(), n),
+				Complete: rng.Intn(2) == 0,
+				Steps:    rng.Intn(spectral.DefaultLimit + 1),
+			}
+			res.Tr.N = n
+			for i := 0; i < n; i++ {
+				res.Tr.InputMask[i] = mask(n)
+				res.Tr.InputCompl[i] = rng.Intn(2) == 0
+			}
+			res.Tr.OutputMask = mask(n)
+			res.Tr.OutputCompl = rng.Intn(2) == 0
+			switch trial {
+			case 0:
+				res.Steps = 0
+			case 1:
+				res.Steps = spectral.DefaultLimit
+				for i := 0; i < n; i++ {
+					res.Tr.InputMask[i] = 1<<uint(n) - 1
+					res.Tr.InputCompl[i] = true
+				}
+				res.Tr.OutputMask = 1<<uint(n) - 1
+				res.Tr.OutputCompl = true
+				res.Complete = true
+			}
+			check("synthetic", res)
+		}
+
+		// Real classifications: exact tables (n ≤ 4), complete searches,
+		// and searches truncated at a small limit and at DefaultLimit.
+		// Non-affine functions of five or six variables almost never
+		// complete at DefaultLimit; affine ones always do.
+		fns := []tt.T{tt.New(rng.Uint64(), n), tt.New(rng.Uint64(), n), tt.New(rng.Uint64(), n)}
+		if n >= 2 {
+			fns = append(fns, tt.Var(0, n).And(tt.Var(1, n)), tt.Var(0, n).Xor(tt.Var(n-1, n)).Not())
+		}
+		var complete, incomplete bool
+		for _, f := range fns {
+			for _, limit := range []int{40, spectral.DefaultLimit} {
+				res := spectral.Classify(f, limit)
+				complete = complete || res.Complete
+				incomplete = incomplete || !res.Complete
+				check("classify", res)
+				if canon, perm, inCompl, outCompl, ok := f.SemiCanonical(); ok {
+					check("composed", spectral.ComposeRenaming(spectral.Classify(canon, limit), perm, inCompl, outCompl))
+				}
+			}
+		}
+		if n >= 5 && !incomplete {
+			t.Fatalf("n=%d: no incomplete classification exercised", n)
+		}
+		if !complete {
+			t.Fatalf("n=%d: no complete classification exercised", n)
+		}
+	}
+
+	// End to end through a database with both cache levels: the value a
+	// cache hit returns is the one the miss computed.
+	db := New(Options{TwoLevelClassify: true, ClassifyLimit: 2000})
+	for trial := 0; trial < 60; trial++ {
+		f := tt.New(rng.Uint64(), 1+rng.Intn(tt.MaxVars))
+		miss := db.Classify(f)
+		if hit := db.Classify(f); hit != miss {
+			t.Fatalf("%s: cache hit %+v, miss computed %+v", f, hit, miss)
+		}
+	}
+	if s := db.Stats(); s.SemiCanonHits+s.SemiCanonMisses == 0 || s.Incomplete == 0 {
+		t.Fatalf("two-level classification not exercised: %+v", s)
+	}
+}

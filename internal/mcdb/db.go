@@ -150,7 +150,7 @@ type DB struct {
 	// circuits under (MC, AndDepth), sorted by ascending MC (AndDepth and
 	// XorCost breaking ties). The head of the list is the MC-best circuit —
 	// the single entry the pre-Pareto database stored — so MC-model lookups
-	// are unchanged; other models select from the front via LookupModel.
+	// are unchanged; other models select from the front via EntryForModel.
 	mu       sync.Mutex
 	entries  map[key][]*Entry
 	building map[key]bool // representatives whose synthesis is in progress
@@ -295,17 +295,14 @@ func (db *DB) classifyMiss(f tt.T) spectral.Result {
 }
 
 // Lookup classifies f and returns the stored (or freshly synthesized)
-// circuit of its class representative together with the classification. The
-// recorded transform is AND-free, so Entry.MC() AND gates suffice to
-// implement f. Lookup always returns the MC-best circuit; use LookupModel to
-// select under a different cost model.
+// MC-best circuit of its class representative together with the
+// classification. The recorded transform is AND-free, so Entry.MC() AND
+// gates suffice to implement f. Callers that may discard the classification
+// (the rewriting engine skips incomplete ones) should call Classify and then
+// EntryForModel, so no circuit is built for a skipped function.
 func (db *DB) Lookup(f tt.T) (*Entry, spectral.Result) {
 	res := db.Classify(f)
-	e := db.EntryFor(res.Repr)
-	// Fault-injection point: tests corrupt the returned entry here to prove
-	// that the rewriter's per-replacement verification rejects it.
-	faultinject.Inject(faultinject.PointDBEntry, e)
-	return e, res
+	return db.EntryForModel(res.Repr, cost.MC()), res
 }
 
 // implOf summarizes a stored entry for model-driven selection.
@@ -313,13 +310,13 @@ func implOf(e *Entry) cost.Impl {
 	return cost.Impl{Ands: e.MC(), Xors: e.XorCost(), Depth: e.AndDepth()}
 }
 
-// LookupModel is Lookup with model-driven entry selection: when the class
-// representative's Pareto front holds several circuits (say, an MC-optimal
-// one and a shallower one with an extra AND), the model's Better ordering
-// picks the preferred implementation. For the MC model this returns exactly
-// what Lookup returns.
-func (db *DB) LookupModel(f tt.T, m cost.Model) (*Entry, spectral.Result) {
-	res := db.Classify(f)
+// EntryForModel returns the circuit model m prefers among the stored
+// implementations of repr, a class representative (Classify's Result.Repr):
+// when its Pareto front holds several circuits (say, an MC-optimal one and a
+// shallower one with an extra AND), m's Better ordering picks. A miss
+// synthesizes the front head first. The front holds at most one circuit per
+// AND count, so the MC model always picks the head.
+func (db *DB) EntryForModel(repr tt.T, m cost.Model) *Entry {
 	best := func() *Entry {
 		// The unlock must be deferred: a panic during synthesis (e.g. a
 		// corrupted entry failing verification) is recovered by the engine's
@@ -327,18 +324,19 @@ func (db *DB) LookupModel(f tt.T, m cost.Model) (*Entry, spectral.Result) {
 		// later lookup.
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		best := db.entryForLocked(res.Repr) // synthesizes the front head on a miss
-		for _, e := range db.entries[keyOf(res.Repr)][1:] {
+		best := db.entryForLocked(repr) // synthesizes the front head on a miss
+		for _, e := range db.entries[keyOf(repr)][1:] {
 			if m.Better(implOf(e), implOf(best)) {
 				best = e
 			}
 		}
 		return best
 	}()
-	// Same fault-injection point as Lookup: the selected entry, whatever the
-	// model, must pass the rewriter's per-replacement verification.
+	// Fault-injection point: tests corrupt the returned entry here to prove
+	// that the rewriter's per-replacement verification rejects it, whatever
+	// the model selected.
 	faultinject.Inject(faultinject.PointDBEntry, best)
-	return best, res
+	return best
 }
 
 // AddAlternate offers an extra verified circuit for e.F's Pareto front, e.g.

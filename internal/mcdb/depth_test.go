@@ -95,7 +95,7 @@ func TestRealizedAndDepthIdentityTransform(t *testing.T) {
 	}
 }
 
-func TestParetoFrontAndLookupModel(t *testing.T) {
+func TestParetoFrontAndEntryForModel(t *testing.T) {
 	// f = x0∧x1∧x2∧x3 over 4 vars: minterm 15 of 16.
 	f := tt.New(1<<15, 4)
 	db := New(Options{})
@@ -150,19 +150,19 @@ func TestParetoFrontAndLookupModel(t *testing.T) {
 
 	// Whatever the synthesis produced, after the exchange above the front
 	// must answer: MC model → MC 3, depth model → depth 2 with MC 3.
-	eMC, _ := db.LookupModel(f, cost.MC())
+	eMC := db.EntryForModel(f, cost.MC())
 	if eMC.MC() != 3 {
 		t.Fatalf("MC-model selection returned MC %d", eMC.MC())
 	}
-	eD, _ := db.LookupModel(f, cost.Depth())
+	eD := db.EntryForModel(f, cost.Depth())
 	if eD.AndDepth() != 2 || eD.MC() != 3 {
 		t.Fatalf("depth-model selection returned (MC %d, depth %d), want (3, 2)",
 			eD.MC(), eD.AndDepth())
 	}
-	// Lookup (MC default) agrees with LookupModel(MC).
+	// Lookup (MC default) agrees with EntryForModel(MC).
 	eDefault, _ := db.Lookup(f)
 	if eDefault.MC() != eMC.MC() || eDefault.AndDepth() != eMC.AndDepth() {
-		t.Fatalf("Lookup disagrees with LookupModel(MC)")
+		t.Fatalf("Lookup disagrees with EntryForModel(MC)")
 	}
 
 	// The front survives persistence: both circuits round-trip.
@@ -174,7 +174,7 @@ func TestParetoFrontAndLookupModel(t *testing.T) {
 	if _, err := fresh.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	eD2, _ := fresh.LookupModel(f, cost.Depth())
+	eD2 := fresh.EntryForModel(f, cost.Depth())
 	if eD2.AndDepth() != eD.AndDepth() || eD2.MC() != eD.MC() {
 		t.Fatalf("depth selection changed across save/load: (%d,%d) -> (%d,%d)",
 			eD.MC(), eD.AndDepth(), eD2.MC(), eD2.AndDepth())
