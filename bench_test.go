@@ -273,12 +273,11 @@ func classifyWorkload(b *testing.B, name string) []tt.T {
 
 // BenchmarkClassify measures the classification fast path on its real
 // workload — every distinct cut function a cold database classifies when
-// optimizing the ISSUE's reference circuits — through the full mcdb layers
-// (key canonicalization, class cache, and optionally the semi-canonical
-// second-level cache). Results are recorded in BENCH_classify.json: wall
-// seconds, classifications per second, search steps, allocations, a per-n
-// breakdown, and the semi-canonical hit rate of the two-level rows. The
-// companion in-package pair BenchmarkClassify/BenchmarkClassifyReference
+// optimizing two reference circuits — through the full mcdb layers (key
+// canonicalization and class cache). Results are recorded in
+// BENCH_classify.json: wall seconds, classifications per second, search
+// steps, allocations, a per-n breakdown, and the scheduler width and core
+// count of the recording host. The companion in-package pair BenchmarkClassify/BenchmarkClassifyReference
 // (internal/spectral) measures the same workload against the frozen
 // pre-optimization search — the ratio of their classify/s metrics is the
 // fast path's speedup. Zero steady-state allocation is pinned separately by
@@ -289,26 +288,23 @@ func BenchmarkClassify(b *testing.B) {
 		Fns int `json:"fns"`
 	}
 	type record struct {
-		Bench           string  `json:"bench"`
-		TwoLevel        bool    `json:"two_level_classify"`
-		Fns             int     `json:"distinct_functions"`
-		Seconds         float64 `json:"seconds_per_op"`
-		PerSecond       float64 `json:"classifies_per_second"`
-		StepsPerOp      float64 `json:"steps_per_classify"`
-		AllocsPerOp     float64 `json:"allocs_per_classify"`
-		Incomplete      int     `json:"incomplete"`
-		SemiCanonHits   int     `json:"semicanon_hits"`
-		SemiCanonMisses int     `json:"semicanon_misses"`
-		SemiCanonRate   float64 `json:"semicanon_hit_rate"`
-		ByN             []nRec  `json:"by_n"`
-		GOMAXPROCS      int     `json:"gomaxprocs"`
+		Bench       string  `json:"bench"`
+		Fns         int     `json:"distinct_functions"`
+		Seconds     float64 `json:"seconds_per_op"`
+		PerSecond   float64 `json:"classifies_per_second"`
+		StepsPerOp  float64 `json:"steps_per_classify"`
+		AllocsPerOp float64 `json:"allocs_per_classify"`
+		Incomplete  int     `json:"incomplete"`
+		ByN         []nRec  `json:"by_n"`
+		GOMAXPROCS  int     `json:"gomaxprocs"`
+		NumCPU      int     `json:"num_cpu"`
 	}
 	var records []record
-	// One row per (bench, two_level) pair even though the harness invokes each
-	// sub-benchmark more than once (b.N=1 probe, then the -benchtime run).
+	// One row per bench even though the harness invokes each sub-benchmark
+	// more than once (b.N=1 probe, then the -benchtime run).
 	upsert := func(rec record) {
 		for i := range records {
-			if records[i].Bench == rec.Bench && records[i].TwoLevel == rec.TwoLevel {
+			if records[i].Bench == rec.Bench {
 				records[i] = rec
 				return
 			}
@@ -333,46 +329,35 @@ func BenchmarkClassify(b *testing.B) {
 				byN = append(byN, nRec{N: n, Fns: cnt[n]})
 			}
 		}
-		for _, twoLevel := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/twolevel=%v", name, twoLevel), func(b *testing.B) {
-				var rec record
-				var ms0, ms1 runtime.MemStats
-				runtime.ReadMemStats(&ms0)
-				steps := 0
-				for i := 0; i < b.N; i++ {
-					db := mcdb.New(mcdb.Options{TwoLevelClassify: twoLevel})
-					steps = 0
-					for _, f := range fns {
-						steps += db.Classify(f).Steps
-					}
-					st := db.Stats()
-					rec = record{
-						Bench:           name,
-						TwoLevel:        twoLevel,
-						Fns:             len(fns),
-						Incomplete:      st.Incomplete,
-						SemiCanonHits:   st.SemiCanonHits,
-						SemiCanonMisses: st.SemiCanonMisses,
-						ByN:             byN,
-						GOMAXPROCS:      runtime.GOMAXPROCS(0),
-					}
-					if tot := st.SemiCanonHits + st.SemiCanonMisses; tot > 0 {
-						rec.SemiCanonRate = float64(st.SemiCanonHits) / float64(tot)
-					}
+		b.Run(name, func(b *testing.B) {
+			var rec record
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				db := mcdb.New(mcdb.Options{})
+				steps = 0
+				for _, f := range fns {
+					steps += db.Classify(f).Steps
 				}
-				runtime.ReadMemStats(&ms1)
-				rec.Seconds = b.Elapsed().Seconds() / float64(b.N)
-				rec.PerSecond = float64(len(fns)) / rec.Seconds
-				rec.StepsPerOp = float64(steps) / float64(len(fns))
-				rec.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N) / float64(len(fns))
-				b.ReportMetric(rec.PerSecond, "classify/s")
-				b.ReportMetric(rec.StepsPerOp, "steps/op")
-				if twoLevel {
-					b.ReportMetric(100*rec.SemiCanonRate, "semicanon-hit-%")
+				rec = record{
+					Bench:      name,
+					Fns:        len(fns),
+					Incomplete: db.Stats().Incomplete,
+					ByN:        byN,
+					GOMAXPROCS: runtime.GOMAXPROCS(0),
+					NumCPU:     runtime.NumCPU(),
 				}
-				upsert(rec)
-			})
-		}
+			}
+			runtime.ReadMemStats(&ms1)
+			rec.Seconds = b.Elapsed().Seconds() / float64(b.N)
+			rec.PerSecond = float64(len(fns)) / rec.Seconds
+			rec.StepsPerOp = float64(steps) / float64(len(fns))
+			rec.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N) / float64(len(fns))
+			b.ReportMetric(rec.PerSecond, "classify/s")
+			b.ReportMetric(rec.StepsPerOp, "steps/op")
+			upsert(rec)
+		})
 	}
 	data, err := json.MarshalIndent(records, "", "  ")
 	if err != nil {
@@ -485,114 +470,6 @@ func BenchmarkParallelRewrite(b *testing.B) {
 		b.Fatal(err)
 	}
 	if err := os.WriteFile("BENCH_parallel.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkIncrementalRewrite measures cross-round incremental reuse: the
-// same optimization (workers = 4, warm shared database, convergence rounds)
-// with the full pipeline versus the incremental default, on the ISSUE's
-// reference circuits. Per-round gates/enumerated/classified counts, wall
-// seconds, allocations, and the resulting speedup are recorded in
-// BENCH_incremental.json. The final AND counts must agree between modes —
-// incremental reuse is a pure performance feature — so the benchmark
-// doubles as a bit-level regression check.
-//
-// The database is warmed with one throwaway run per circuit first: a cold
-// database spends most of its time synthesizing class representatives
-// (identical work in both modes), which would drown the pipeline difference
-// this benchmark isolates.
-func BenchmarkIncrementalRewrite(b *testing.B) {
-	type roundRec struct {
-		Gates        int `json:"gates"`
-		Enumerated   int `json:"enumerated"`
-		Classified   int `json:"classified"`
-		Replacements int `json:"replacements"`
-	}
-	type record struct {
-		Bench       string     `json:"bench"`
-		Mode        string     `json:"mode"`
-		Workers     int        `json:"workers"`
-		Seconds     float64    `json:"seconds_per_op"`
-		AllocsPerOp float64    `json:"allocs_per_op"`
-		FinalAnds   int        `json:"final_ands"`
-		Rounds      []roundRec `json:"rounds"`
-		Speedup     float64    `json:"speedup_vs_full,omitempty"`
-		GOMAXPROCS  int        `json:"gomaxprocs"`
-		NumCPU      int        `json:"num_cpu"`
-	}
-	var records []record
-	// One row per (bench, mode) pair even though the harness invokes each
-	// sub-benchmark more than once.
-	upsert := func(rec record) {
-		for i := range records {
-			if records[i].Bench == rec.Bench && records[i].Mode == rec.Mode {
-				records[i] = rec
-				return
-			}
-		}
-		records = append(records, rec)
-	}
-
-	for _, name := range []string{"adder-64", "multiplier", "sha-256-round"} {
-		bm, ok := bench.ByName(name)
-		if !ok {
-			b.Fatalf("unknown benchmark %s", name)
-		}
-		db := mcdb.New(mcdb.Options{})
-		core.MinimizeMC(bm.Build(), core.Options{Workers: 4, DB: db}) // warm the class cache
-		seconds := map[string]float64{}
-		finals := map[string]int{}
-		for _, mode := range []string{"full", "incremental"} {
-			b.Run(fmt.Sprintf("%s/%s", name, mode), func(b *testing.B) {
-				var res core.Result
-				var ms0, ms1 runtime.MemStats
-				runtime.ReadMemStats(&ms0)
-				for i := 0; i < b.N; i++ {
-					res = core.MinimizeMC(bm.Build(), core.Options{
-						Workers: 4, DB: db, NoIncremental: mode == "full",
-					})
-					if res.Err != nil {
-						b.Fatal(res.Err)
-					}
-				}
-				runtime.ReadMemStats(&ms1)
-				rec := record{
-					Bench:       name,
-					Mode:        mode,
-					Workers:     4,
-					Seconds:     b.Elapsed().Seconds() / float64(b.N),
-					AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N),
-					FinalAnds:   res.Network.NumAnds(),
-					GOMAXPROCS:  runtime.GOMAXPROCS(0),
-					NumCPU:      runtime.NumCPU(),
-				}
-				for _, r := range res.Rounds {
-					rec.Rounds = append(rec.Rounds, roundRec{
-						Gates: r.Gates, Enumerated: r.Enumerated,
-						Classified: r.Classified, Replacements: r.Replacements,
-					})
-				}
-				seconds[mode] = rec.Seconds
-				finals[mode] = rec.FinalAnds
-				if mode == "incremental" && seconds["full"] > 0 {
-					rec.Speedup = seconds["full"] / rec.Seconds
-					b.ReportMetric(rec.Speedup, "speedup-vs-full")
-				}
-				b.ReportMetric(rec.AllocsPerOp, "allocs/op-total")
-				upsert(rec)
-			})
-		}
-		if finals["full"] != finals["incremental"] {
-			b.Fatalf("%s: incremental yields %d ANDs, full %d — identity broken",
-				name, finals["incremental"], finals["full"])
-		}
-	}
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_incremental.json", append(data, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
 }

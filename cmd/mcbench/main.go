@@ -10,8 +10,7 @@
 //
 // The -cpuprofile, -memprofile, and -trace flags capture standard Go
 // profiles of the whole run; engine samples carry per-stage pprof labels
-// (stage = enumerate | classify | commit). -incremental=false times the
-// non-reusing baseline.
+// (stage = enumerate | classify | commit).
 //
 // Exit codes: 0 on success, 2 on usage errors, 4 when an optimized
 // benchmark fails its equivalence check.
@@ -55,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		cutLimit = fs.Int("cuts", 12, "priority cuts per node")
 		costName = fs.String("cost", "mc", "cost model: mc (AND count), size (AND+XOR), or depth (multiplicative depth)")
 		workers  = fs.Int("workers", 0, "worker goroutines for the parallel stages (0 = GOMAXPROCS); results are identical for any value")
-		incr     = fs.Bool("incremental", true, "reuse cut lists and classifications across rounds (identical result either way)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile here (filter stages with -tagfocus stage=...)")
 		memProf  = fs.String("memprofile", "", "write a heap allocation profile here")
 		traceOut = fs.String("trace", "", "write a runtime execution trace here")
@@ -143,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	db := mcdb.New(mcdb.Options{})
-	coreOpts := core.Options{CutSize: *cutSize, CutLimit: *cutLimit, Cost: model, Workers: *workers, DB: db, NoIncremental: !*incr}
+	coreOpts := core.Options{CutSize: *cutSize, CutLimit: *cutLimit, Cost: model, Workers: *workers, DB: db}
 
 	emit := func(title string, list []bench.Benchmark, opts tables.Options) int {
 		rows, err := tables.Run(list, opts)

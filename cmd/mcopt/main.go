@@ -16,9 +16,7 @@
 // The -cpuprofile, -memprofile, and -trace flags capture standard Go
 // profiles of the optimization; the engine labels its samples per pipeline
 // stage, so `go tool pprof -tagfocus stage=classify cpu.out` isolates one
-// stage. -incremental=false disables cross-round reuse (the result is
-// bit-identical either way; the flag exists for baseline timing and
-// debugging).
+// stage.
 //
 // The -cost flag selects the optimization objective: mc (AND count, the
 // paper's multiplicative complexity, default), size (AND+XOR count), or
@@ -80,7 +78,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		verify    = fs.Bool("verify", false, "miter-check every round against the input; roll back and fail on mismatch")
 		timeout   = fs.Duration("timeout", 0, "stop optimizing after this long and keep the best network so far (0 = no limit)")
 		workers   = fs.Int("workers", 0, "worker goroutines for the parallel stages (0 = GOMAXPROCS); the result is identical for any value")
-		incr      = fs.Bool("incremental", true, "reuse cut lists and classifications across rounds (identical result either way)")
 		dbPath    = fs.String("db", "", "preload a persisted synthesis database (snapshot or legacy gob)")
 		dbSave    = fs.String("db-save", "", "persist the synthesis database here afterwards (atomic replace)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile here (filter stages with -tagfocus stage=...)")
@@ -161,7 +158,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		AllowZeroGain: *zeroGain,
 		Verify:        *verify,
 		Workers:       *workers,
-		NoIncremental: !*incr,
 	}
 	if *dbPath != "" || *dbSave != "" {
 		opts.DB = mcdb.New(mcdb.Options{})

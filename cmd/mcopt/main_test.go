@@ -227,31 +227,6 @@ func TestProfilingBadPath(t *testing.T) {
 	}
 }
 
-// TestIncrementalFlagIdentical: -incremental=false must write a
-// byte-identical optimized circuit — the flag trades time, never results.
-func TestIncrementalFlagIdentical(t *testing.T) {
-	dir := t.TempDir()
-	outInc := filepath.Join(dir, "inc.txt")
-	outFull := filepath.Join(dir, "full.txt")
-	if code, _, stderr := runMcopt("-bench", "adder-32", "-out", outInc); code != exitOK {
-		t.Fatalf("incremental run: exit %d, stderr: %s", code, stderr)
-	}
-	if code, _, stderr := runMcopt("-bench", "adder-32", "-incremental=false", "-out", outFull); code != exitOK {
-		t.Fatalf("full run: exit %d, stderr: %s", code, stderr)
-	}
-	a, err := os.ReadFile(outInc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(outFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("-incremental=false changed the optimized circuit")
-	}
-}
-
 // TestDBSaveAndReload persists the synthesis database from one run and
 // reloads it in the next: the second run must produce the identical circuit,
 // and the saved file must pass `mcdb verify` semantics (it reloads clean).

@@ -62,10 +62,6 @@ type Options struct {
 	Cost          Cost // gain model (nil = cost.MC(), the paper's objective)
 	AllowZeroGain bool // also apply replacements with zero gain
 
-	// UseIncomplete applies rewrites whose classification hit the iteration
-	// limit. The paper omits such functions; defaults to false.
-	UseIncomplete bool
-
 	// Verify runs an end-of-round equivalence miter (exhaustive for narrow
 	// interfaces, 64-bit-parallel random simulation otherwise) against a
 	// snapshot of the input network. A failing round is rolled back and the
@@ -89,15 +85,6 @@ type Options struct {
 	// the commit stage is one sequential pass in node-id order, so
 	// parallelism only reorders cache warming, never commits.
 	Workers int
-
-	// NoIncremental disables the cross-round reuse of cut lists and
-	// classifications inside Minimize; every round then re-runs the full
-	// enumerate→classify pipeline over all nodes. Incremental reuse (the
-	// default) is purely a performance feature: a cached per-node fact is
-	// reused only when provably identical to a fresh recomputation (see
-	// DESIGN.md §10), so the optimized network is bit-identical either way
-	// for every cost model and worker count.
-	NoIncremental bool
 
 	// Logf, when set, receives one line per degradation event (rejected
 	// rewrite, invalid database entry, recovered panic, rolled-back round).
@@ -146,9 +133,9 @@ type RoundStats struct {
 	// Gates is the number of live gates at the start of the round;
 	// Enumerated and Classified count how many of them had their cuts and
 	// classifications computed this round (the rest were reused from the
-	// previous round). A full round has Enumerated == Classified == Gates;
-	// with incremental reuse (the Minimize default) later rounds recompute
-	// only the dirty region.
+	// previous round's seeds). Engine.Round keeps no seeds, so its rounds
+	// have Enumerated == Classified == Gates; later rounds of Minimize
+	// recompute only the dirty region.
 	Gates      int
 	Enumerated int
 	Classified int
@@ -171,7 +158,7 @@ type Degradation struct {
 	// validation; their cuts were skipped.
 	InvalidEntries int
 	// IncompleteClassifications counts cuts skipped because the spectral
-	// classification hit its iteration limit (and UseIncomplete was off).
+	// classification hit its iteration limit, as the paper omits them.
 	IncompleteClassifications int
 	// RecoveredPanics counts per-node panics that were recovered; the node
 	// was skipped and the round continued.

@@ -6,14 +6,15 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cost"
+	"repro/internal/mcdb"
 	"repro/internal/xag"
 )
 
 // TestIncrementalDeterminismLarge is the regression gate for incremental
-// rewriting on the ISSUE's reference circuits: for adder-64 and
-// sha-256-round, every combination of cost model (mc, size, depth) and
-// worker count (1, 4) must commit a Bristol serialization byte-identical to
-// the full-recompute sequential reference. One database is shared per
+// rewriting on two reference circuits: for adder-64 and sha-256-round,
+// every combination of cost model (mc, size, depth) and worker count (1, 4)
+// must commit a Bristol serialization byte-identical to the full-recompute
+// sequential reference, roundReference. One database is shared per
 // circuit/model pair — warmth must not change results either.
 func TestIncrementalDeterminismLarge(t *testing.T) {
 	if testing.Short() {
@@ -37,22 +38,20 @@ func TestIncrementalDeterminismLarge(t *testing.T) {
 	for _, n := range nets {
 		for _, m := range models {
 			t.Run(n.name+"/"+m.name, func(t *testing.T) {
-				ref := MinimizeMC(n.build(), Options{Workers: 1, Cost: m.model, NoIncremental: true})
-				if ref.Err != nil {
-					t.Fatal(ref.Err)
-				}
-				refB := bristol(t, ref.Network)
+				db := mcdb.New(mcdb.Options{})
+				ref, refRounds := roundReference(t, n.build(), Options{Workers: 1, Cost: m.model, DB: db})
+				refB := bristol(t, ref)
 				for _, workers := range []int{1, 4} {
-					got := MinimizeMC(n.build(), Options{Workers: workers, Cost: m.model, DB: ref.DB})
+					got := MinimizeMC(n.build(), Options{Workers: workers, Cost: m.model, DB: db})
 					if got.Err != nil {
 						t.Fatal(got.Err)
 					}
 					if !bytes.Equal(bristol(t, got.Network), refB) {
 						t.Errorf("workers=%d: incremental network differs from full sequential reference", workers)
 					}
-					if len(got.Rounds) != len(ref.Rounds) {
+					if len(got.Rounds) != refRounds {
 						t.Errorf("workers=%d: incremental ran %d rounds, full ran %d",
-							workers, len(got.Rounds), len(ref.Rounds))
+							workers, len(got.Rounds), refRounds)
 					}
 				}
 			})

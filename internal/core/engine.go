@@ -95,12 +95,15 @@ func (e *Engine) logf(format string, args ...any) {
 // (freshly built or Cleanup'ed); it is consumed by the call. A non-nil
 // error reports cancellation; the returned network is still valid and
 // reflects the replacements committed before the interruption.
+//
+// Round keeps no state between calls, so callers may feed it unrelated
+// networks: every call enumerates and classifies every gate. Looping it to
+// convergence is the full-recompute reference that Minimize, with its
+// cross-round seeds, matches byte for byte.
 func (e *Engine) Round(ctx context.Context, net *xag.Network) (*xag.Network, RoundStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Round is a stateless one-pass API: callers may feed unrelated networks
-	// in sequence, so no cross-round state is kept (nil incState).
 	degBefore := e.deg
 	out, stats, err := e.round(ctx, net, &e.deg, nil)
 	e.met.observeDegradation(e.deg.sub(degBefore))
@@ -224,14 +227,10 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 		}
 	}
 
-	var memo *prepMemo
-	if inc != nil {
-		memo = inc.memo
-	}
 	var classified int
 	stageStart = time.Now()
 	pprof.Do(ctx, pprof.Labels("stage", "classify"), func(ctx context.Context) {
-		prep, classified, err = e.classifyStage(ctx, net, order, cuts, seedPrep, seedOK, memo, deg)
+		prep, classified, err = e.classifyStage(ctx, net, order, cuts, seedPrep, seedOK, deg)
 	})
 	stats.ClassifyTime = time.Since(stageStart)
 	if err != nil {
@@ -251,18 +250,6 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 	return finish(err)
 }
 
-// classifyStage runs stage 2: workers pull chunks of node indices from a
-// shared counter, classify every cut function of their nodes against the database,
-// and record the replacement candidates in their node's slot (indexed by
-// node id) of the result slice. Nodes whose seedOK entry is set adopt the
-// previous round's candidates verbatim instead of being reclassified; with a
-// non-nil memo (incremental Minimize), repeated cut functions replay their
-// memoized classification instead of hitting the database again. The
-// returned count is the number of gates that performed at least one real
-// database classification this round (seed adoptions and fully memo-served
-// nodes are excluded). Workers read only immutable state (the compact
-// network, the cut set, the concurrent database), so no locks are needed
-// beyond the database's and the memo's own.
 // classifyChunk is how many order slots a classify worker claims per fetch:
 // batching the shared-counter traffic keeps workers streaming through their
 // own cache-warm run of nodes instead of interleaving per node.
@@ -277,6 +264,23 @@ type prepKey struct {
 	n    int8
 }
 
+// memoPrep is one cut function's classification verdict, as the
+// worker-local map caches it. Exactly one of three shapes holds: skip
+// (incomplete or invalid — the cut contributes no candidate), constant
+// (sh.N == 0, handled before the lookup), or a usable entry.
+type memoPrep struct {
+	entry      *mcdb.Entry
+	tr         spectral.Transform
+	newAnds    int
+	newXors    int
+	incomplete bool // skipped and counted as IncompleteClassifications
+	invalid    bool // counted as InvalidEntries
+}
+
+// skipIncomplete is the verdict of every incomplete classification. It is
+// shared: no entry was fetched, so there is nothing per function to keep.
+var skipIncomplete = &memoPrep{incomplete: true}
+
 // localPrepPool recycles the worker-local classification maps across rounds
 // and engines. Maps are returned cleared; pooling preserves their grown
 // bucket arrays, so warm rounds skip the per-worker map growth entirely.
@@ -284,7 +288,16 @@ var localPrepPool = sync.Pool{
 	New: func() interface{} { return make(map[prepKey]*memoPrep, 4*classifyChunk) },
 }
 
-func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []int, cuts *cut.Set, seedPrep [][]prepared, seedOK []bool, memo *prepMemo, deg *Degradation) ([][]prepared, int, error) {
+// classifyStage runs stage 2: workers pull chunks of node indices from a
+// shared counter, classify every cut function of their nodes against the
+// database, and record the replacement candidates in their node's slot
+// (indexed by node id) of the result slice. Nodes whose seedOK entry is set
+// adopt the previous round's candidates verbatim instead of being
+// reclassified. The returned count is the number of gates not served by such
+// a seed. Workers read only immutable state (the compact network, the cut
+// set, the concurrent database), so no locks are needed beyond the
+// database's own.
+func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []int, cuts *cut.Set, seedPrep [][]prepared, seedOK []bool, deg *Degradation) ([][]prepared, int, error) {
 	prep := make([][]prepared, net.NumNodes())
 	workers := e.opts.Workers
 	if workers > len(order) {
@@ -310,14 +323,12 @@ func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []in
 			degMu.Unlock()
 		}()
 		// Worker-local classification cache: repeated cut functions within
-		// this worker's stream are served without touching the sharded memo
-		// or the database's striped class cache. Pure traffic amortization —
-		// values entering it are the canonical memo/database verdicts, and
-		// the fresh accounting is unchanged (a local hit replays a function
-		// this worker already classified, which the shared memo would have
-		// answered too). Keyed by the packed (bits, n) pair and recycled
-		// through a pool so steady-state rounds reuse grown hash buckets
-		// instead of re-growing a fresh map per worker per round.
+		// this worker's stream are served without touching the database's
+		// striped class cache. Pure traffic amortization — values entering
+		// it are the database's deterministic verdicts. Keyed by the packed
+		// (bits, n) pair and recycled through a pool so steady-state rounds
+		// reuse grown hash buckets instead of re-growing a fresh map per
+		// worker per round.
 		localPrep := localPrepPool.Get().(map[prepKey]*memoPrep)
 		defer func() {
 			for k := range localPrep {
@@ -342,11 +353,8 @@ func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []in
 					prep[id] = seedPrep[id]
 					continue
 				}
-				p, fresh := e.prepareNode(id, cuts.For(id), memo, localPrep, &local)
-				prep[id] = p
-				if memo == nil || fresh {
-					classified.Add(1)
-				}
+				prep[id] = e.prepareNode(id, cuts.For(id), localPrep, &local)
+				classified.Add(1)
 			}
 		}
 	}
@@ -368,16 +376,12 @@ func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []in
 	return prep, int(classified.Load()), nil
 }
 
-// prepareNode computes the replacement candidates of one node. With a
-// non-nil memo, cut functions classified earlier in the same Minimize call
-// replay their memoized database verdict instead of repeating the lookup;
-// the non-nil worker-local cache short-circuits both the memo's sharded
-// locks and the database's striped class cache for functions this worker
-// already resolved. fresh reports whether at least one cut actually went to
-// the database. A panic in cut evaluation, classification, or synthesis is
-// recovered and counted — one poisoned node cannot take down the worker
-// pool.
-func (e *Engine) prepareNode(id int, cuts []cut.Cut, memo *prepMemo, localPrep map[prepKey]*memoPrep, deg *Degradation) (out []prepared, fresh bool) {
+// prepareNode computes the replacement candidates of one node. The
+// worker-local cache short-circuits the database's striped class cache for
+// functions this worker already resolved. A panic in cut evaluation,
+// classification, or synthesis is recovered and counted — one poisoned node
+// cannot take down the worker pool.
+func (e *Engine) prepareNode(id int, cuts []cut.Cut, localPrep map[prepKey]*memoPrep, deg *Degradation) (out []prepared) {
 	defer func() {
 		if r := recover(); r != nil {
 			deg.RecoveredPanics++
@@ -414,20 +418,13 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, memo *prepMemo, localPrep m
 
 		lk := prepKey{sh.Bits, int8(sh.N)}
 		mp := localPrep[lk]
-		if mp == nil && memo != nil {
-			mp, _ = memo.get(sh)
-		}
 		if mp == nil {
-			fresh = true
 			mp = e.lookup(id, sh)
-			if memo != nil {
-				mp = memo.put(sh, mp)
-			}
+			localPrep[lk] = mp
 		}
-		localPrep[lk] = mp
-		// Replay the verdict. Degradation counters stay per-cut (a memo hit
-		// on a bad function still counts), matching the memo-free path; only
-		// the log line is emitted once per function instead of per node.
+		// Replay the verdict. Degradation counters stay per-cut (a cached
+		// bad function still counts); only the log line is emitted once per
+		// function, worker and round instead of per cut.
 		if mp.incomplete {
 			deg.IncompleteClassifications++
 			continue
@@ -454,17 +451,17 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, memo *prepMemo, localPrep m
 			newXors: mp.newXors,
 		})
 	}
-	return out, fresh
+	return out
 }
 
 // lookup resolves one shrunk cut function against the database. It
-// classifies first and fetches an entry only for a usable classification:
-// complete, or incomplete with Options.UseIncomplete set. A skipped cut never
-// reads its entry, and building one (exact search, then Davio recursion,
-// under the database lock) is the expensive half of a cold lookup.
+// classifies first and fetches an entry only for a complete classification,
+// as the paper omits the rest. A skipped cut never reads its entry, and
+// building one (exact search, then Davio recursion, under the database
+// lock) is the expensive half of a cold lookup.
 func (e *Engine) lookup(id int, sh tt.T) *memoPrep {
 	res := e.db.Classify(sh)
-	if !res.Complete && !e.opts.UseIncomplete {
+	if !res.Complete {
 		return skipIncomplete
 	}
 	// Model-driven entry selection: the database may hold several circuits
@@ -677,14 +674,11 @@ func (e *Engine) Minimize(ctx context.Context, n *xag.Network) Result {
 		ref = n.Cleanup() // immutable snapshot of the input for the miter
 	}
 	degBefore := e.deg
-	// Cross-round incremental state, local to this Minimize call: later
-	// rounds reuse the cut lists and classifications of nodes whose cones
-	// the previous round left untouched. Purely a performance feature — see
-	// DESIGN.md §10 for the reuse-validity invariant.
-	var inc *incState
-	if !e.opts.NoIncremental {
-		inc = &incState{memo: newPrepMemo()}
-	}
+	// Cross-round seeds, local to this Minimize call: later rounds reuse the
+	// cut lists and classifications of nodes whose cones the previous round
+	// left untouched. Purely a performance feature — see DESIGN.md §10 for
+	// the reuse-validity invariant.
+	inc := &incState{}
 	for round := 0; e.opts.MaxRounds == 0 || round < e.opts.MaxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			res.Interrupted = true
@@ -705,9 +699,7 @@ func (e *Engine) Minimize(ctx context.Context, n *xag.Network) Result {
 				e.deg.RolledBackRounds++
 				e.logf("core: round %d rolled back: %v", len(res.Rounds), verr)
 				net = prev
-				if inc != nil {
-					inc.valid = false // seeds describe the rolled-back network
-				}
+				inc.valid = false // seeds describe the rolled-back network
 				res.Err = &VerifyError{Round: len(res.Rounds), Cause: verr}
 				break
 			}

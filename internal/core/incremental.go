@@ -2,88 +2,10 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/cut"
-	"repro/internal/mcdb"
-	"repro/internal/spectral"
-	"repro/internal/tt"
 	"repro/internal/xag"
 )
-
-// prepMemo caches the database-derived part of one cut function's
-// classification for the lifetime of one Minimize call: entry selection,
-// transform, costs, and the degradation verdicts. Within a Minimize the
-// per-class database state is append-stable (a class front is synthesized on
-// first lookup and never changes afterwards), so the memoized value is
-// exactly what a fresh Engine.lookup would compute — replaying it preserves
-// bit-identical commits while skipping the class-cache probe, the entry
-// fetch's lock and Pareto scan, and validation for every repeated function.
-// An incomplete classification that the engine skips memoizes as the shared
-// skipIncomplete verdict: no entry was fetched for it. The memo is sharded
-// like the database's own classification cache so classify workers rarely
-// contend.
-type prepMemo struct {
-	shards [16]prepMemoShard
-}
-
-type prepMemoShard struct {
-	mu sync.RWMutex
-	m  map[tt.T]*memoPrep
-}
-
-// memoPrep is one memoized classification. Exactly one of the three shapes
-// holds: skip (incomplete or invalid — the cut contributes no candidate),
-// constant (sh.N == 0 handled before the memo), or a usable entry.
-type memoPrep struct {
-	entry      *mcdb.Entry
-	tr         spectral.Transform
-	newAnds    int
-	newXors    int
-	incomplete bool // skipped and counted as IncompleteClassifications
-	invalid    bool // counted as InvalidEntries
-}
-
-// skipIncomplete is the verdict of every incomplete classification while
-// Options.UseIncomplete is off. It is shared: no entry was fetched, so there
-// is nothing per function to keep.
-var skipIncomplete = &memoPrep{incomplete: true}
-
-func newPrepMemo() *prepMemo {
-	pm := &prepMemo{}
-	for i := range pm.shards {
-		pm.shards[i].m = make(map[tt.T]*memoPrep)
-	}
-	return pm
-}
-
-func (pm *prepMemo) shardOf(f tt.T) *prepMemoShard {
-	h := (f.Bits ^ uint64(f.N)<<57) * 0x9e3779b97f4a7c15
-	return &pm.shards[h>>60&15]
-}
-
-func (pm *prepMemo) get(f tt.T) (*memoPrep, bool) {
-	s := pm.shardOf(f)
-	s.mu.RLock()
-	mp, ok := s.m[f]
-	s.mu.RUnlock()
-	return mp, ok
-}
-
-// put stores mp under f; first insert wins so every reader observes one
-// canonical value (concurrent computations of the same function return
-// identical data anyway — the value is deterministic).
-func (pm *prepMemo) put(f tt.T, mp *memoPrep) *memoPrep {
-	s := pm.shardOf(f)
-	s.mu.Lock()
-	if prev, ok := s.m[f]; ok {
-		s.mu.Unlock()
-		return prev
-	}
-	s.m[f] = mp
-	s.mu.Unlock()
-	return mp
-}
 
 // incState carries per-node facts from one Minimize round into the next:
 // candidate cut lists and prepared classifications of nodes the previous
@@ -100,12 +22,6 @@ type incState struct {
 	prepOK []bool       // prepOK[id]: prep seed present for id
 	leafOK []bool       // leafOK[id]: id's renumbering was order-preserving
 	depth  []int        // round-start depth by new id (-1 absent); nil unless ranked
-
-	// memo is the Minimize-lifetime classification memo (see prepMemo). It
-	// survives rollbacks and interruptions — its values are keyed by cut
-	// function, not network structure, so they stay correct when the seeds
-	// above are invalidated.
-	memo *prepMemo
 }
 
 // carryState distills the finished round into seeds for the next one.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/faultinject"
 	"repro/internal/mcdb"
-	"repro/internal/sim"
 	"repro/internal/tt"
 	"repro/internal/xag"
 )
@@ -84,34 +83,5 @@ func TestIncompleteClassificationBuildsNoEntry(t *testing.T) {
 		t.Fatalf("%d of %d representatives reached only by incomplete classifications got an entry (e.g. %s); "+
 			"database: %d entries, %d exact, %d Davio",
 			len(tr.built), tr.incomplete, tr.built[0], tr.res.DB.NumEntries(), s.ExactSyntheses, s.DavioFallbacks)
-	}
-}
-
-// TestUseIncompleteRewritesIncompleteCuts covers the one path that still
-// builds circuits for incomplete classifications: with UseIncomplete the
-// engine rewrites through the representative the truncated search reached.
-// The 8-bit ripple adder has 16 inputs, so the equivalence check is
-// exhaustive.
-func TestUseIncompleteRewritesIncompleteCuts(t *testing.T) {
-	n := rippleAdder(8)
-	if base := MinimizeMC(n, Options{}); base.Degraded.IncompleteClassifications == 0 {
-		t.Fatal("no incomplete classifications without UseIncomplete: the test exercises nothing")
-	}
-	tr := traceLookups(t, n, Options{UseIncomplete: true})
-	if err := sim.Equal(n, tr.res.Network, 8, 1); err != nil {
-		t.Fatalf("optimized network not equivalent: %v", err)
-	}
-	if got := tr.res.Degraded.IncompleteClassifications; got != 0 {
-		t.Fatalf("%d cuts skipped as incomplete with UseIncomplete set", got)
-	}
-	replacements := 0
-	for _, r := range tr.res.Rounds {
-		replacements += r.Replacements
-	}
-	if replacements == 0 {
-		t.Fatal("no replacement applied")
-	}
-	if len(tr.built) == 0 {
-		t.Fatalf("none of %d representatives reached only by incomplete classifications got an entry", tr.incomplete)
 	}
 }

@@ -154,8 +154,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestClassCacheRoundTrip: a packed class-cache value gives back every
 // spectral.Result field exactly, for n = 0…6, complete and incomplete, with
-// Steps up to spectral.DefaultLimit, and for results composed through the
-// semi-canonical second level.
+// Steps up to spectral.DefaultLimit.
 func TestClassCacheRoundTrip(t *testing.T) {
 	c := newClassCache()
 	var next uint64
@@ -228,9 +227,6 @@ func TestClassCacheRoundTrip(t *testing.T) {
 				complete = complete || res.Complete
 				incomplete = incomplete || !res.Complete
 				check("classify", res)
-				if canon, perm, inCompl, outCompl, ok := f.SemiCanonical(); ok {
-					check("composed", spectral.ComposeRenaming(spectral.Classify(canon, limit), perm, inCompl, outCompl))
-				}
 			}
 		}
 		if n >= 5 && !incomplete {
@@ -241,9 +237,9 @@ func TestClassCacheRoundTrip(t *testing.T) {
 		}
 	}
 
-	// End to end through a database with both cache levels: the value a
-	// cache hit returns is the one the miss computed.
-	db := New(Options{TwoLevelClassify: true, ClassifyLimit: 2000})
+	// End to end through a database: the value a cache hit returns is the
+	// one the miss computed.
+	db := New(Options{ClassifyLimit: 2000})
 	for trial := 0; trial < 60; trial++ {
 		f := tt.New(rng.Uint64(), 1+rng.Intn(tt.MaxVars))
 		miss := db.Classify(f)
@@ -251,7 +247,7 @@ func TestClassCacheRoundTrip(t *testing.T) {
 			t.Fatalf("%s: cache hit %+v, miss computed %+v", f, hit, miss)
 		}
 	}
-	if s := db.Stats(); s.SemiCanonHits+s.SemiCanonMisses == 0 || s.Incomplete == 0 {
-		t.Fatalf("two-level classification not exercised: %+v", s)
+	if s := db.Stats(); s.Incomplete == 0 {
+		t.Fatalf("no incomplete classification exercised: %+v", s)
 	}
 }

@@ -26,28 +26,6 @@ type Options struct {
 	// evaluations (default 50e6). Exhausted budgets fall back to Davio
 	// decomposition.
 	SearchBudget int
-	// TwoLevelClassify enables the semi-canonical second-level
-	// classification cache: on a class-cache miss the function is first
-	// reduced to its semi-canonical form under input permutation and
-	// input/output complementation (tt.SemiCanonical, an O(2ⁿ·n)
-	// word-parallel computation), the spectral search runs on that form
-	// once per semi-canonical class, and the stored result is composed with
-	// the recorded renaming (spectral.ComposeRenaming) — so the many
-	// permuted/complemented variants of the same cut function that
-	// arithmetic networks produce skip the DFS entirely.
-	//
-	// Off by default to preserve bit-exact reproducibility with the
-	// single-level pipeline: ~94% of 6-input classifications hit the
-	// iteration limit, and a limit-bound search started from the
-	// semi-canonical form is a *different* truncated search than one
-	// started from the member function — both results are valid
-	// (transform-correct and deterministic for a given setting), but the
-	// chosen representatives, and through them golden XOR counts, can
-	// differ. Deployments that prioritize throughput over golden-pin
-	// compatibility should enable it; every composed result is still
-	// deterministic and independent of cache state, because misses and hits
-	// go through the identical compose step.
-	TwoLevelClassify bool
 }
 
 func (o Options) withDefaults() Options {
@@ -74,11 +52,6 @@ type Stats struct {
 	DavioFallbacks int // entries built by Davio decomposition
 	Recovered      int // entries admitted from snapshots and journal replay
 	Quarantined    int // persisted records rejected by checksum or validation
-
-	// Two-level classification cache activity (zero unless
-	// Options.TwoLevelClassify is enabled).
-	SemiCanonHits   int // class-cache misses answered by the semi-canonical cache
-	SemiCanonMisses int // class-cache misses that ran the spectral search
 
 	// SAT refiner activity (refine.go); all zero until a Refine pass runs.
 	RefineAttempts  int // entries the refiner worked on
@@ -110,8 +83,6 @@ type dbStats struct {
 	davioFallbacks atomic.Int64
 	recovered      atomic.Int64
 	quarantined    atomic.Int64
-	semiHits       atomic.Int64
-	semiMisses     atomic.Int64
 
 	refineAttempts  atomic.Int64
 	refineImproved  atomic.Int64
@@ -161,10 +132,6 @@ type DB struct {
 	// it; implementations must not call back into the DB.
 	onNew func(*Entry)
 
-	// semi is the semi-canonical second-level classification cache, active
-	// only when opts.TwoLevelClassify is set; see Options.TwoLevelClassify.
-	semi *classCache
-
 	// classifySteps, when non-nil, observes the DFS step count of every
 	// classification that missed the caches (installed by RegisterMetrics).
 	classifySteps atomic.Pointer[metrics.Histogram]
@@ -203,16 +170,12 @@ func (db *DB) context() context.Context {
 
 // New returns an empty database.
 func New(opts Options) *DB {
-	db := &DB{
+	return &DB{
 		opts:     opts.withDefaults(),
 		classes:  newClassCache(),
 		entries:  make(map[key][]*Entry),
 		building: make(map[key]bool),
 	}
-	if db.opts.TwoLevelClassify {
-		db.semi = newClassCache()
-	}
-	return db
 }
 
 func keyOf(f tt.T) key { return key{int8(f.N), f.Bits} }
@@ -230,9 +193,6 @@ func (db *DB) Stats() Stats {
 		DavioFallbacks: int(db.stats.davioFallbacks.Load()),
 		Recovered:      int(db.stats.recovered.Load()),
 		Quarantined:    int(db.stats.quarantined.Load()),
-
-		SemiCanonHits:   int(db.stats.semiHits.Load()),
-		SemiCanonMisses: int(db.stats.semiMisses.Load()),
 
 		RefineAttempts:  int(db.stats.refineAttempts.Load()),
 		RefineImproved:  int(db.stats.refineImproved.Load()),
@@ -255,7 +215,7 @@ func (db *DB) Classify(f tt.T) spectral.Result {
 		db.stats.classCacheHits.Add(1)
 		return res
 	}
-	res := db.classifyMiss(f)
+	res := spectral.Classify(f, db.opts.ClassifyLimit)
 	if h := db.classifySteps.Load(); h != nil {
 		h.Observe(float64(res.Steps))
 	}
@@ -265,33 +225,6 @@ func (db *DB) Classify(f tt.T) spectral.Result {
 		db.stats.incomplete.Add(1)
 	}
 	return res
-}
-
-// classifyMiss computes the classification of f after a first-level cache
-// miss. With TwoLevelClassify enabled, functions that admit a bounded
-// semi-canonical key share one spectral search per semi-canonical class: the
-// search runs on (and is cached for) the semi-canonical form, and the result
-// is composed with the renaming recorded by the key. The compose step runs on
-// hits and misses alike, so the returned Result for a given function is
-// identical regardless of cache state or request order.
-func (db *DB) classifyMiss(f tt.T) spectral.Result {
-	if db.semi != nil && f.N > 4 {
-		if canon, perm, inCompl, outCompl, ok := f.SemiCanonical(); ok {
-			ck := keyOf(canon)
-			cres, hit := db.semi.get(ck)
-			if hit {
-				db.stats.semiHits.Add(1)
-			} else {
-				db.stats.semiMisses.Add(1)
-				cres = spectral.Classify(canon, db.opts.ClassifyLimit)
-				cres, _ = db.semi.put(ck, cres)
-			}
-			return spectral.ComposeRenaming(cres, perm, inCompl, outCompl)
-		}
-		// Tie enumeration overflow: no usable key, classify directly.
-		db.stats.semiMisses.Add(1)
-	}
-	return spectral.Classify(f, db.opts.ClassifyLimit)
 }
 
 // Lookup classifies f and returns the stored (or freshly synthesized)

@@ -82,10 +82,4 @@ func (db *DB) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("mcc_classify_incomplete_total",
 		"Classifications that hit the spectral iteration limit.",
 		func() float64 { return float64(db.stats.incomplete.Load()) })
-	r.CounterFunc("mcdb_semicanon_hits_total",
-		"Class-cache misses answered by the semi-canonical second-level cache.",
-		func() float64 { return float64(db.stats.semiHits.Load()) })
-	r.CounterFunc("mcdb_semicanon_misses_total",
-		"Class-cache misses that ran the full spectral search (or lacked a semi-canonical key).",
-		func() float64 { return float64(db.stats.semiMisses.Load()) })
 }

@@ -15,17 +15,20 @@ import (
 
 // Content addressing for requests. The cache key covers exactly what can
 // change the result bytes: the canonical network structure
-// (xag.CanonicalHash) and every result-affecting effective option. Two
+// (xag.CanonicalHash) and every result-affecting effective option. These
 // options are deliberately excluded:
 //
 //   - workers: the engine's output is byte-identical across worker counts
 //     (pinned since PR 2 and re-pinned by the golden suite), so parallelism
 //     is an execution detail, not part of the result's identity;
-//   - deadline: it decides whether a result is produced, never which one.
+//   - deadline: it decides whether a result is produced, never which one;
+//   - incremental and sequential_commit: deprecated and ignored.
 //
 // Cost model and the remaining options are folded in normalized to their
-// effective values (cut_size 0 → 6, incremental nil → true), so "defaults
-// spelled out" and "defaults omitted" address the same entry.
+// effective values (cut_size 0 → 6), so "defaults spelled out" and
+// "defaults omitted" address the same entry. Flag bit 4 once recorded
+// incremental; it is always set, so every key, and every persisted entry,
+// keeps the value it had when the option was on.
 
 // cacheKeyMagic domain-separates request keys from bare network hashes.
 var cacheKeyMagic = [8]byte{'M', 'C', 'R', 'E', 'Q', 'K', '0', '1'}
@@ -50,9 +53,7 @@ func cacheKey(net *xag.Network, o RequestOptions) rescache.Key {
 	if o.ZeroGain {
 		flags |= 2
 	}
-	if o.Incremental == nil || *o.Incremental {
-		flags |= 4
-	}
+	flags |= 4 // formerly incremental, always on
 	b[5] = flags
 	b[6] = 0 // reserved
 	h.Write(b[:])

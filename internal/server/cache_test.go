@@ -76,7 +76,8 @@ func TestCacheHitByteIdentity(t *testing.T) {
 
 // TestCacheKeyRespectsOptions checks that requests differing in an
 // engine-visible option do not share a cache entry, while options that
-// cannot change the output (workers, deadline, sequential_commit) do.
+// cannot change the output (workers, deadline, incremental,
+// sequential_commit) do.
 func TestCacheKeyRespectsOptions(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	circuit := benchBristol(t, "decoder")
@@ -102,10 +103,21 @@ func TestCacheKeyRespectsOptions(t *testing.T) {
 	if got := post(RequestOptions{MaxRounds: 2, Workers: 3, DeadlineMS: 60000}); got != "hit" {
 		t.Errorf("workers/deadline variant missed: X-MC-Cache = %q, want hit", got)
 	}
-	// sequential_commit is a deprecated no-op, so it is not part of the key
-	// either.
+	// incremental and sequential_commit are deprecated no-ops, so they are
+	// not part of the key either.
+	off := false
+	if got := post(RequestOptions{MaxRounds: 2, Incremental: &off}); got != "hit" {
+		t.Errorf("incremental:false variant missed: X-MC-Cache = %q, want hit", got)
+	}
 	if got := post(RequestOptions{MaxRounds: 2, SequentialCommit: true}); got != "hit" {
 		t.Errorf("sequential_commit variant missed: X-MC-Cache = %q, want hit", got)
+	}
+	// The ignored query parameter is still parsed: a non-boolean is an
+	// invalid option.
+	resp, body := postBristol(t, ts, circuit, "?incremental=maybe", nil)
+	var er errorResponse
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || er.Error.Code != CodeInvalidOption {
+		t.Errorf("?incremental=maybe: %d %s, want 400 %s", resp.StatusCode, body, CodeInvalidOption)
 	}
 	if got := metricValue(t, s, "mcserved_cache_misses_total"); got != 2 {
 		t.Errorf("mcserved_cache_misses_total = %v, want 2", got)

@@ -374,11 +374,12 @@ type RequestOptions struct {
 	Workers     int    `json:"workers,omitempty"`  // capped by Config.MaxRequestWorkers
 	CutSize     int    `json:"cut_size,omitempty"` // 2..6, default 6
 	ZeroGain    bool   `json:"zero_gain,omitempty"`
-	Incremental *bool  `json:"incremental,omitempty"` // default true
+	Incremental *bool  `json:"incremental,omitempty"` // deprecated and ignored
 	DeadlineMS  int    `json:"deadline_ms,omitempty"` // capped by Config.MaxDeadline
 
-	// SequentialCommit is accepted and ignored: the commit stage is always
-	// one sequential pass. Deprecated (see API.md); it is not part of the
+	// Incremental and SequentialCommit are accepted and ignored: Minimize
+	// always reuses cross-round seeds, and the commit stage is always one
+	// sequential pass. Deprecated (see API.md); neither is part of the
 	// result-cache key.
 	SequentialCommit bool `json:"sequential_commit,omitempty"`
 }
@@ -566,9 +567,6 @@ func (s *Server) computeResult(ctx context.Context, dr *decodedRequest, preAdmit
 	}
 	if opts.CutSize != 0 {
 		mopts = append(mopts, mcc.WithCutSize(opts.CutSize))
-	}
-	if opts.Incremental != nil {
-		mopts = append(mopts, mcc.WithIncremental(*opts.Incremental))
 	}
 	before := dr.net.CountGates()
 	res := mcc.Optimize(ctx, dr.net, mopts...)

@@ -407,31 +407,3 @@ func TestClassifyAllocFree(t *testing.T) {
 		}
 	}
 }
-
-// TestComposeRenaming checks that composing a semi-canonical classification
-// with its recorded renaming yields a valid classification of the original
-// function: same representative, and the composed transform reconstructs it.
-func TestComposeRenaming(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for n := 1; n <= tt.MaxVars; n++ {
-		for trial := 0; trial < 300; trial++ {
-			f := tt.New(rng.Uint64(), n)
-			canon, perm, inCompl, outCompl, ok := f.SemiCanonical()
-			if !ok {
-				continue
-			}
-			res := Classify(canon, 0)
-			composed := ComposeRenaming(res, perm, inCompl, outCompl)
-			if composed.Repr != res.Repr {
-				t.Fatalf("n=%d f=%#x: composition changed the representative", n, f.Bits)
-			}
-			if back := composed.Tr.Apply(composed.Repr); back != f {
-				t.Fatalf("n=%d f=%#x canon=%#x: composed transform rebuilds %#x, want f",
-					n, f.Bits, canon.Bits, back.Bits)
-			}
-			if composed.Complete != res.Complete || composed.Steps != res.Steps {
-				t.Fatalf("n=%d f=%#x: composition must carry Complete/Steps through", n, f.Bits)
-			}
-		}
-	}
-}

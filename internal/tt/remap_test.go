@@ -93,3 +93,47 @@ func BenchmarkRemapExpandIncreasing(b *testing.B) {
 		_ = tab.RemapExpand(pos, 6)
 	}
 }
+
+func TestApplyLinearMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= MaxVars; n++ {
+		for trial := 0; trial < 300; trial++ {
+			f := T{rng.Uint64() & Mask(n), n}
+			col := make([]uint, n)
+			for i := range col {
+				col[i] = uint(rng.Intn(1 << uint(n))) // singular maps included
+			}
+			b := uint(rng.Intn(1 << uint(n)))
+			if got, want := f.ApplyLinear(col, b), f.applyLinearGeneric(col, b); got != want {
+				t.Fatalf("n=%d f=%#x col=%v b=%#x: ApplyLinear %#x, generic %#x",
+					n, f.Bits, col, b, got.Bits, want.Bits)
+			}
+		}
+	}
+}
+
+func TestPermuteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for n := 1; n <= MaxVars; n++ {
+		for trial := 0; trial < 200; trial++ {
+			f := T{rng.Uint64() & Mask(n), n}
+			p := rng.Perm(n)
+			want := Const0(n)
+			for m := 0; m < f.Size(); m++ {
+				var src uint
+				for i := 0; i < n; i++ {
+					if m>>uint(i)&1 == 1 {
+						src |= 1 << uint(p[i])
+					}
+				}
+				if f.Eval(src) {
+					want.Bits |= 1 << uint(m)
+				}
+			}
+			if got := f.Permute(p); got != want {
+				t.Fatalf("n=%d f=%#x p=%v: Permute %#x, reference %#x",
+					n, f.Bits, p, got.Bits, want.Bits)
+			}
+		}
+	}
+}

@@ -162,16 +162,14 @@ func WithCutSize(k int) Option {
 	return func(o *core.Options) { o.CutSize = k }
 }
 
-// WithIncremental toggles cross-round incremental reuse (on by default):
-// later rounds re-enumerate and re-classify only the region dirtied by the
-// previous round's rewrites, and repeated cut functions replay a memoized
-// classification instead of querying the database again. Purely a
-// performance feature — the optimized network is bit-identical with reuse
-// on or off, for every cost model and worker count. Turn it off to force
-// every round through the full pipeline (for example when benchmarking the
-// baseline, or to rule incremental state out while debugging).
+// WithIncremental is ignored: Minimize always reuses the previous round's
+// cut lists and classifications where they provably still hold, and the
+// optimized network is the same as without reuse.
+//
+// Deprecated: there is no longer a full-recompute mode to switch to; drop
+// the option.
 func WithIncremental(on bool) Option {
-	return func(o *core.Options) { o.NoIncremental = !on }
+	return func(*core.Options) {}
 }
 
 // WithZeroGain also applies replacements that do not change the cost —

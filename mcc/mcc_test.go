@@ -148,9 +148,9 @@ func TestWorkersAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestWithIncrementalIdentical: incremental reuse (the default) and the
-// full pipeline commit byte-identical networks, and the incremental run's
-// later rounds actually reuse work (fewer gates enumerated than exist).
+// TestWithIncrementalIdentical: WithIncremental is a deprecated no-op.
+// With either value the run commits the default run's bytes, and its later
+// rounds still reuse enumeration work.
 func TestWithIncrementalIdentical(t *testing.T) {
 	build := func() *mcc.Network { return bench.Adder(32) }
 	serialize := func(res mcc.Result) []byte {
@@ -160,27 +160,26 @@ func TestWithIncrementalIdentical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	inc := mcc.Optimize(context.Background(), build(), mcc.WithIncremental(true))
-	full := mcc.Optimize(context.Background(), build(), mcc.WithIncremental(false))
-	if inc.Err != nil || full.Err != nil {
-		t.Fatalf("errs: inc=%v full=%v", inc.Err, full.Err)
+	def := mcc.Optimize(context.Background(), build())
+	if def.Err != nil {
+		t.Fatal(def.Err)
 	}
-	if !bytes.Equal(serialize(inc), serialize(full)) {
-		t.Fatal("WithIncremental changed the optimized circuit")
-	}
-	reused := false
-	for i, r := range inc.Rounds {
-		if i > 0 && r.Enumerated < r.Gates {
-			reused = true
+	for _, on := range []bool{true, false} {
+		res := mcc.Optimize(context.Background(), build(), mcc.WithIncremental(on))
+		if res.Err != nil {
+			t.Fatalf("WithIncremental(%v): %v", on, res.Err)
 		}
-	}
-	if !reused {
-		t.Fatal("incremental run never reused enumeration work")
-	}
-	for i, r := range full.Rounds {
-		if r.Enumerated != r.Gates || r.Classified != r.Gates {
-			t.Fatalf("full round %d: enumerated=%d classified=%d gates=%d",
-				i+1, r.Enumerated, r.Classified, r.Gates)
+		if !bytes.Equal(serialize(res), serialize(def)) {
+			t.Fatalf("WithIncremental(%v) changed the optimized circuit", on)
+		}
+		reused := false
+		for i, r := range res.Rounds {
+			if i > 0 && r.Enumerated < r.Gates {
+				reused = true
+			}
+		}
+		if !reused {
+			t.Fatalf("WithIncremental(%v): later rounds never reused enumeration work", on)
 		}
 	}
 }
