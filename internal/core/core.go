@@ -26,9 +26,11 @@
 //     reported as a structured *VerifyError;
 //   - a panic while processing one node is recovered, logged, and counted —
 //     the node is skipped and the run continues;
-//   - MinimizeMCContext honors context cancellation at round, node, cut-
-//     enumeration and database-search granularity, returning a valid
-//     partially-optimized network promptly.
+//   - MinimizeMCContext honors context cancellation between rounds, inside
+//     cut enumeration, per classify chunk and every 64 commits, returning a
+//     valid partially-optimized network promptly. A database synthesis in
+//     flight is not interrupted: SearchBudget bounds it, and the circuit it
+//     stores is the same whichever run asked for it.
 //
 // Degradation events are counted in Result.Degraded so callers can alert on
 // a sick database or classifier instead of silently losing optimization
@@ -63,21 +65,12 @@ type Options struct {
 	AllowZeroGain bool // also apply replacements with zero gain
 
 	// Verify runs an end-of-round equivalence miter (exhaustive for narrow
-	// interfaces, 64-bit-parallel random simulation otherwise) against a
-	// snapshot of the input network. A failing round is rolled back and the
-	// run stops with Result.Err set to a *VerifyError.
+	// interfaces, verifyRounds × 64 random patterns from a fixed seed
+	// otherwise) against a snapshot of the input network. A failing round is
+	// rolled back and the run stops with Result.Err set to a *VerifyError.
 	Verify bool
-	// VerifyRounds is the number of 64-pattern random-simulation rounds of
-	// the miter (default 8; ignored when the check is exhaustive).
-	VerifyRounds int
-	// VerifySeed seeds the miter's pattern generator (0 = fixed default).
-	VerifySeed uint64
 
 	MaxRounds int // bound for MinimizeMC (0 = run until convergence)
-
-	// MaxRewritesPerRound caps the replacements applied per round
-	// (0 = unlimited) — a budget knob for latency-bounded callers.
-	MaxRewritesPerRound int
 
 	// Workers bounds the worker pool of the parallel cut-enumeration and
 	// classification stages of each round (0 = GOMAXPROCS, 1 = fully
@@ -97,8 +90,7 @@ type Options struct {
 	// get-or-create, so any number of engines may share one registry.
 	Metrics *metrics.Registry
 
-	DB        *mcdb.DB     // database to use; one is created when nil
-	DBOptions mcdb.Options // options for the created database
+	DB *mcdb.DB // database to use; a default one is created when nil
 }
 
 func (o Options) withDefaults() Options {
@@ -110,9 +102,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CutLimit == 0 {
 		o.CutLimit = 12
-	}
-	if o.VerifyRounds == 0 {
-		o.VerifyRounds = 8
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -245,11 +234,13 @@ func MinimizeMC(n *xag.Network, opts Options) Result {
 }
 
 // MinimizeMCContext is MinimizeMC with cancellation: deadlines and cancel
-// signals are honored between rounds, between nodes within a round, inside
-// cut enumeration, and inside database synthesis searches. A canceled run
-// returns promptly with Interrupted set and a valid network reflecting the
-// rewrites applied so far (each individually equivalence-checked, and
-// miter-checked when Verify is on).
+// signals are honored between rounds, inside cut enumeration, per chunk of
+// classified nodes and every 64 commits. A database synthesis already under
+// way finishes (within the database's SearchBudget), so a canceled run never
+// leaves a different circuit in a shared database than an uncanceled one
+// would. A canceled run returns promptly with Interrupted set and a valid
+// network reflecting the rewrites applied so far (each individually
+// equivalence-checked, and miter-checked when Verify is on).
 func MinimizeMCContext(ctx context.Context, n *xag.Network, opts Options) Result {
 	return NewEngine(opts.DB, opts).Minimize(ctx, n)
 }
@@ -257,6 +248,10 @@ func MinimizeMCContext(ctx context.Context, n *xag.Network, opts Options) Result
 // ctxCheckStride bounds how many nodes are processed between cancellation
 // checks inside a round.
 const ctxCheckStride = 64
+
+// verifyRounds is the number of 64-pattern rounds of the end-of-round miter
+// when the interface is too wide for an exhaustive check.
+const verifyRounds = 8
 
 // replacement is a profitable rewrite candidate for one node. gain and tie
 // come from the cost model: the engine maximizes gain, with lower tie values

@@ -65,7 +65,7 @@ type Engine struct {
 func NewEngine(db *mcdb.DB, opts Options) *Engine {
 	opts = opts.withDefaults()
 	if db == nil {
-		db = mcdb.New(opts.DBOptions)
+		db = mcdb.New(mcdb.Options{})
 	}
 	e := &Engine{db: db, opts: opts, met: newEngineMetrics(opts.Metrics)}
 	if opts.Metrics != nil {
@@ -490,9 +490,6 @@ func (e *Engine) commitStage(ctx context.Context, net *xag.Network, order []int,
 				return err
 			}
 		}
-		if e.opts.MaxRewritesPerRound > 0 && stats.Replacements >= e.opts.MaxRewritesPerRound {
-			break
-		}
 		if !net.IsGate(id) {
 			continue
 		}
@@ -663,9 +660,6 @@ func (e *Engine) Minimize(ctx context.Context, n *xag.Network) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.db.SetContext(ctx)
-	defer e.db.SetContext(nil)
-
 	res := Result{DB: e.db}
 	e.met.runs.Inc()
 	net := n.Cleanup()
@@ -695,7 +689,7 @@ func (e *Engine) Minimize(ctx context.Context, n *xag.Network) Result {
 		res.Rounds = append(res.Rounds, stats)
 
 		if e.opts.Verify {
-			if verr := sim.Equal(ref, net, e.opts.VerifyRounds, e.opts.VerifySeed); verr != nil {
+			if verr := sim.Equal(ref, net, verifyRounds, 0); verr != nil {
 				e.deg.RolledBackRounds++
 				e.logf("core: round %d rolled back: %v", len(res.Rounds), verr)
 				net = prev

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/faultinject"
 	"repro/internal/mcdb"
 	"repro/internal/tt"
@@ -168,16 +170,46 @@ func TestMidRunCancellationKeepsNetworkValid(t *testing.T) {
 	equalOnRandom(t, n, res.Network, 4, 106)
 }
 
-func TestMaxRewritesPerRoundCapsWork(t *testing.T) {
-	n := rippleAdder(8)
-	res := MinimizeMC(n, Options{MaxRewritesPerRound: 1, MaxRounds: 1})
-	if len(res.Rounds) != 1 {
-		t.Fatalf("want 1 round, got %d", len(res.Rounds))
+// TestExpiredRunLeavesDBUnchanged pins that the shared database holds no
+// caller's state: a run whose context expires in the middle of its first
+// classify stage must not leave a circuit behind that a fresh database
+// would not have built, so the next run on the same database commits the
+// same bytes as a run on a fresh one.
+func TestExpiredRunLeavesDBUnchanged(t *testing.T) {
+	for _, name := range []string{"int-to-float", "square-root"} {
+		t.Run(name, func(t *testing.T) {
+			t.Cleanup(faultinject.Reset)
+			b, ok := bench.ByName(name)
+			if !ok {
+				t.Fatalf("unknown benchmark %q", name)
+			}
+			fresh := MinimizeMC(b.Build(), Options{Workers: 1}).Network
+
+			db := mcdb.New(mcdb.Options{})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// Cancel at the first cut function, so the lookups of the rest
+			// of the classify chunk run on an expired context.
+			faultinject.Set(faultinject.PointCutFunction, func(any) { cancel() })
+			expired := MinimizeMCContext(ctx, b.Build(), Options{Workers: 1, DB: db})
+			faultinject.Reset()
+			if !expired.Interrupted {
+				t.Fatal("run canceled at its first cut function not marked Interrupted")
+			}
+			if d := db.Stats().DavioFallbacks; d != 0 {
+				t.Fatalf("expired run left %d Davio entries in the shared database", d)
+			}
+
+			got := MinimizeMC(b.Build(), Options{Workers: 1, DB: db})
+			if got.Err != nil {
+				t.Fatal(got.Err)
+			}
+			if !bytes.Equal(bristol(t, got.Network), bristol(t, fresh)) {
+				t.Fatalf("run after an expired one: %d ANDs, on a fresh database: %d ANDs",
+					got.Network.NumAnds(), fresh.NumAnds())
+			}
+		})
 	}
-	if got := res.Rounds[0].Replacements; got > 1 {
-		t.Fatalf("round applied %d replacements, budget was 1", got)
-	}
-	equalOnRandom(t, n, res.Network, 4, 107)
 }
 
 func TestVerifyPassesOnHealthyRuns(t *testing.T) {

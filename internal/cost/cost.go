@@ -104,9 +104,6 @@ func Size() Model { return sizeModel{} }
 // never has more AND gates than it needs for its depth.
 func Depth() Model { return depthModel{} }
 
-// Models returns the built-in models in presentation order.
-func Models() []Model { return []Model{MC(), Size(), Depth()} }
-
 // FromName resolves a CLI name ("mc", "size", "depth"; "" defaults to
 // "mc") to its model.
 func FromName(name string) (Model, error) {

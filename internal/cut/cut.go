@@ -47,15 +47,6 @@ func (c *Cut) AppendLeaves(dst []int) []int {
 	return dst
 }
 
-// LeafSet returns the leaves as a set, for MFFC queries.
-func (c *Cut) LeafSet() map[int]bool {
-	m := make(map[int]bool, c.n)
-	for i := 0; i < int(c.n); i++ {
-		m[int(c.leaves[i])] = true
-	}
-	return m
-}
-
 func sigOf(id int32) uint64 { return 1 << uint(id%64) }
 
 // dominates reports whether c's leaves are a subset of d's.
@@ -167,23 +158,16 @@ func (s *Set) For(id int) []Cut {
 // not mutate slots while the Set is in use.
 func NewSetFrom(slots [][]Cut) *Set { return &Set{byID: slots} }
 
-// RenumberLeaves remaps the leaf ids of every cut in cs in place through
-// newID and recomputes the bloom signatures. newID must be strictly
-// monotone on the ids present: leaf order — and with it the meaning of each
-// truth-table variable — is preserved, so the tables need no rewriting.
-func RenumberLeaves(cs []Cut, newID func(int) int) {
-	TransformLeaves(cs, func(id int) (int, bool) { return newID(id), false }, false)
-}
-
-// TransformLeaves is RenumberLeaves with polarity: img maps a leaf id to its
-// new id plus whether the new node computes the leaf's complement, and
-// rootCompl reports the same for the cut root. Tables are rewritten to stay
-// correct over the new leaves: variable j is flipped when leaf j's image is
-// complemented, and the whole table is complemented when rootCompl — so each
-// transformed table is the new root's function over the new leaves. (For a
-// trivial cut the two flips cancel, keeping it canonical.) As with
-// RenumberLeaves, img must be strictly monotone on the ids present for the
-// lists to stay sorted.
+// TransformLeaves remaps the leaf ids of every cut in cs in place and
+// recomputes the bloom signatures: img maps a leaf id to its new id plus
+// whether the new node computes the leaf's complement, and rootCompl reports
+// the same for the cut root. Tables are rewritten to stay correct over the
+// new leaves: variable j is flipped when leaf j's image is complemented, and
+// the whole table is complemented when rootCompl — so each transformed table
+// is the new root's function over the new leaves. (For a trivial cut the two
+// flips cancel, keeping it canonical.) img must be strictly monotone on the
+// ids present for the lists to stay sorted; with no complements the tables
+// are then unchanged.
 func TransformLeaves(cs []Cut, img func(int) (int, bool), rootCompl bool) {
 	for i := range cs {
 		c := &cs[i]
@@ -206,7 +190,7 @@ func TransformLeaves(cs []Cut, img func(int) (int, bool), rootCompl bool) {
 // network must be compact (no pending substitutions), which holds for
 // freshly built or Cleanup'ed networks.
 func Enumerate(n *xag.Network, p Params) *Set {
-	s, _ := EnumerateContext(context.Background(), n, p)
+	s, _ := EnumerateParallel(context.Background(), n, p, 1)
 	return s
 }
 
@@ -282,40 +266,17 @@ func nodeCuts(n *xag.Network, id int, byID [][]Cut, p Params, sc *scratch) []Cut
 	return prune(cand, p, id, sc)
 }
 
-// EnumerateContext is Enumerate with cancellation: it checks ctx
-// periodically and returns ctx's error (and a nil set) if the deadline
-// expires or the context is canceled mid-enumeration.
-func EnumerateContext(ctx context.Context, n *xag.Network, p Params) (*Set, error) {
-	s, _, err := EnumerateReuse(ctx, n, p, 1, nil)
-	return s, err
-}
-
-// EnumerateParallel enumerates cuts with a bounded worker pool. Nodes are
-// processed level by level (a gate's level is one past its deepest fanin),
-// so every worker only reads cut lists of strictly lower levels — finished
-// before its level started — and writes its own node's slot. The result is
-// identical to EnumerateContext for any worker count: each node's cut list
-// is a pure function of its fanin cut lists.
+// EnumerateParallel is Enumerate with a bounded worker pool and
+// cancellation: it checks ctx periodically and returns ctx's error (and a
+// nil set) if the deadline expires or the context is canceled
+// mid-enumeration. Nodes are processed level by level (a gate's level is
+// one past its deepest fanin), so every worker only reads cut lists of
+// strictly lower levels — finished before its level started — and writes
+// its own node's slot. The result is identical to Enumerate for any worker
+// count: each node's cut list is a pure function of its fanin cut lists.
 func EnumerateParallel(ctx context.Context, n *xag.Network, p Params, workers int) (*Set, error) {
-	s, _, err := EnumerateReuse(ctx, n, p, workers, nil)
+	s, _, _, err := EnumerateIncremental(ctx, n, p, workers, nil)
 	return s, err
-}
-
-// EnumerateReuse is EnumerateParallel with trusted cross-round reuse:
-// non-nil slots of seed are adopted verbatim and only the remaining live
-// nodes are enumerated. The caller guarantees every seeded slot equals what
-// a fresh enumeration would compute for that node — under that contract the
-// result is bit-identical to a full enumeration for any worker count. The
-// second result is the number of gates actually enumerated. A nil seed
-// enumerates everything. Callers that cannot prove their seeds valid should
-// use EnumerateIncremental, which validates them.
-func EnumerateReuse(ctx context.Context, n *xag.Network, p Params, workers int, seed *Set) (*Set, int, error) {
-	var seedSlots [][]Cut
-	if seed != nil {
-		seedSlots = seed.byID
-	}
-	res, _, computed, err := enumerateSeeded(ctx, n, p, workers, seedSlots, nil, true)
-	return res, computed, err
 }
 
 // Seed is the input of EnumerateIncremental: the previous round's cut lists
@@ -333,21 +294,28 @@ type Seed struct {
 	LeafOK []bool
 }
 
-// EnumerateIncremental enumerates cuts with validated cross-round reuse and
-// change-propagation early termination. A gate adopts its seed list without
-// re-merging when that is provably identical to recomputing it: neither
-// fanin's list changed this round and every candidate leaf (every leaf of
-// both fanin lists) passes seed.LeafOK — fanin lists equal plus
-// order-preserved tie-breaks and unchanged ranks force prune to reproduce
-// the seed exactly. Other gates are re-merged and compared against their
-// seed, so an unchanged result still stops the invalidation wave here
-// instead of sweeping the whole fanout cone.
+// EnumerateIncremental is EnumerateParallel with validated cross-round
+// reuse and change-propagation early termination. A gate adopts its seed
+// list without re-merging when neither fanin's list changed this round and
+// every candidate leaf (every leaf of both fanin lists) passes seed.LeafOK.
+// Other gates are re-merged and compared against their seed, so an
+// unchanged result still stops the invalidation wave here instead of
+// sweeping the whole fanout cone.
+//
+// Adoption trusts the seed of the gate itself: the check proves the merge
+// inputs unchanged, not that the seed came from them. The result is
+// bit-identical to a full enumeration, for any worker count, only when
+// every seeded list was enumerated with the same Params for a structurally
+// identical gate — same kind, with fanins that are the seed round's images
+// of the current fanins — and then renumbered (TransformLeaves) into the
+// current ids. A list taken from an unrelated gate can be adopted verbatim,
+// for instance where both fanins are primary inputs, whose trivial lists
+// never change. Within that precondition an out-of-date seed costs a
+// re-merge, never a wrong cut.
 //
 // Returns the cut set, a per-node changed flag (true when the node's final
 // list is not known to equal its seed — always true for unseeded gates), and
-// the number of gates actually re-merged. The set is bit-identical to a full
-// enumeration for any worker count and any seed contents: invalid seeds cost
-// recomputation, never wrong cuts.
+// the number of gates actually re-merged. A nil seed re-merges every gate.
 func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers int, seed *Seed) (*Set, []bool, int, error) {
 	var seedSlots [][]Cut
 	var leafOK []bool
@@ -357,73 +325,21 @@ func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers
 		}
 		leafOK = seed.LeafOK
 	}
-	return enumerateSeeded(ctx, n, p, workers, seedSlots, leafOK, false)
-}
-
-// equalCuts reports whether two cut lists are identical (same cuts, same
-// order, same tables).
-func equalCuts(a, b []Cut) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// seedReusable decides the no-recompute path of EnumerateIncremental for
-// one gate: both fanin lists unchanged and every leaf of both lists (the
-// superset of all candidate leaves the merge can produce) valid per leafOK.
-func seedReusable(res *Set, changed, leafOK []bool, f0, f1 int) bool {
-	if changed[f0] || changed[f1] {
-		return false
-	}
-	for _, f := range [2]int{f0, f1} {
-		for ci := range res.byID[f] {
-			c := &res.byID[f][ci]
-			for k := 0; k < int(c.n); k++ {
-				l := int(c.leaves[k])
-				if l >= len(leafOK) || !leafOK[l] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// enumerateSeeded is the shared engine of EnumerateReuse (trust=true: adopt
-// seeds verbatim) and EnumerateIncremental (trust=false: validate seeds,
-// track changes). The returned changed slice is nil in trusted mode.
-func enumerateSeeded(ctx context.Context, n *xag.Network, p Params, workers int, seedSlots [][]Cut, leafOK []bool, trust bool) (*Set, []bool, int, error) {
 	p = p.withDefaults()
 	numNodes := n.NumNodes()
 	res := &Set{byID: make([][]Cut, numNodes)}
-	seedFor := func(id int) []Cut {
-		if id < len(seedSlots) {
-			return seedSlots[id]
-		}
-		return nil
-	}
-	var changed []bool
-	if !trust {
-		changed = make([]bool, numNodes)
-	}
+	changed := make([]bool, numNodes)
 	var computed int64
 
-	// visit handles one gate: adopt the seed when allowed, else re-merge
-	// (and, in incremental mode, compare against the seed so an unchanged
-	// list does not invalidate its fanouts).
+	// visit handles one gate: adopt the seed when allowed, else re-merge and
+	// compare against the seed, so an unchanged list does not invalidate its
+	// fanouts.
 	visit := func(id int, sc *scratch) {
-		s := seedFor(id)
+		var s []Cut
+		if id < len(seedSlots) {
+			s = seedSlots[id]
+		}
 		if s != nil {
-			if trust {
-				res.byID[id] = s
-				return
-			}
 			f0, f1 := n.Fanins(id)
 			if seedReusable(res, changed, leafOK, f0.Node(), f1.Node()) {
 				res.byID[id] = s
@@ -433,9 +349,7 @@ func enumerateSeeded(ctx context.Context, n *xag.Network, p Params, workers int,
 		cs := nodeCuts(n, id, res.byID, p, sc)
 		res.byID[id] = cs
 		atomic.AddInt64(&computed, 1)
-		if !trust {
-			changed[id] = !equalCuts(cs, s)
-		}
+		changed[id] = !equalCuts(cs, s)
 	}
 
 	if workers <= 1 {
@@ -448,10 +362,6 @@ func enumerateSeeded(ctx context.Context, n *xag.Network, p Params, workers int,
 				}
 			}
 			if !n.IsGate(id) {
-				if trust && res.byID[id] == nil && seedFor(id) != nil {
-					res.byID[id] = seedFor(id)
-					continue
-				}
 				res.byID[id] = []Cut{trivial(id)}
 				continue
 			}
@@ -460,30 +370,20 @@ func enumerateSeeded(ctx context.Context, n *xag.Network, p Params, workers int,
 		return res, changed, int(computed), nil
 	}
 
-	// Group the gates to process by level; PIs (and other non-gates) get
-	// their trivial cut immediately and anchor level 0. In trusted mode
-	// seeded gates carry a level — their fanouts' levels depend on it — but
-	// no work item; in incremental mode every gate is visited (the reuse
+	// Group the gates by level; PIs (and other non-gates) get their trivial
+	// cut immediately and anchor level 0. Every gate is visited: the reuse
 	// decision needs its fanins' changed flags, final once their level is
-	// done).
+	// done.
 	level := make([]int, numNodes)
 	var byLevel [][]int
 	for _, id := range n.LiveNodes() {
 		if !n.IsGate(id) {
-			if trust && seedFor(id) != nil {
-				res.byID[id] = seedFor(id)
-			} else {
-				res.byID[id] = []Cut{trivial(id)}
-			}
+			res.byID[id] = []Cut{trivial(id)}
 			continue
 		}
 		f0, f1 := n.Fanins(id)
 		l := max(level[f0.Node()], level[f1.Node()]) + 1
 		level[id] = l
-		if trust && seedFor(id) != nil {
-			res.byID[id] = seedFor(id)
-			continue
-		}
 		for len(byLevel) < l {
 			byLevel = append(byLevel, nil)
 		}
@@ -532,6 +432,41 @@ func enumerateSeeded(ctx context.Context, n *xag.Network, p Params, workers int,
 		return nil, nil, 0, err
 	}
 	return res, changed, int(computed), nil
+}
+
+// equalCuts reports whether two cut lists are identical (same cuts, same
+// order, same tables).
+func equalCuts(a, b []Cut) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// seedReusable decides the no-recompute path of EnumerateIncremental for
+// one gate: both fanin lists unchanged and every leaf of both lists (the
+// superset of all candidate leaves the merge can produce) valid per leafOK.
+func seedReusable(res *Set, changed, leafOK []bool, f0, f1 int) bool {
+	if changed[f0] || changed[f1] {
+		return false
+	}
+	for _, f := range [2]int{f0, f1} {
+		for ci := range res.byID[f] {
+			c := &res.byID[f][ci]
+			for k := 0; k < int(c.n); k++ {
+				l := int(c.leaves[k])
+				if l >= len(leafOK) || !leafOK[l] {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 func trivial(id int) Cut {

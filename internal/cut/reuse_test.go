@@ -9,7 +9,17 @@ import (
 )
 
 func randomReuseNet(rng *rand.Rand, nPIs, nGates int) *xag.Network {
+	return randomShiftedNet(rng, 0, nPIs, nGates)
+}
+
+// randomShiftedNet is randomReuseNet behind extra unused primary inputs,
+// which come first: the compacted network is the same graph with every
+// other node id shifted up by extra.
+func randomShiftedNet(rng *rand.Rand, extra, nPIs, nGates int) *xag.Network {
 	n := xag.New()
+	for i := 0; i < extra; i++ {
+		n.AddPI("")
+	}
 	lits := make([]xag.Lit, 0, nPIs+nGates)
 	for i := 0; i < nPIs; i++ {
 		lits = append(lits, n.AddPI(""))
@@ -45,66 +55,187 @@ func sameSets(t *testing.T, n *xag.Network, got, want *Set, label string) {
 	}
 }
 
-// A nil seed must reproduce the plain enumeration exactly, for any worker
-// count.
-func TestEnumerateReuseNilSeedMatches(t *testing.T) {
+func countGates(n *xag.Network) int {
+	gates := 0
+	for _, id := range n.LiveNodes() {
+		if n.IsGate(id) {
+			gates++
+		}
+	}
+	return gates
+}
+
+// allLeavesOK is a LeafOK slice that accepts every node of n as a leaf.
+func allLeavesOK(n *xag.Network) []bool {
+	ok := make([]bool, n.NumNodes())
+	for i := range ok {
+		ok[i] = true
+	}
+	return ok
+}
+
+// corrupted returns a copy of cs whose first cut computes the complement:
+// a seed that is wrong for its node, so adopting it would show in the
+// result.
+func corrupted(cs []Cut) []Cut {
+	out := append([]Cut(nil), cs...)
+	out[0].Table = out[0].Table.Not()
+	return out
+}
+
+// A nil seed re-merges every gate, marks every gate changed, and reproduces
+// the plain enumeration exactly, for any worker count.
+func TestEnumerateIncrementalNilSeedMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		n := randomReuseNet(rng, 6, 60)
 		want := Enumerate(n, Params{})
 		for _, workers := range []int{1, 2, 8} {
-			got, computed, err := EnumerateReuse(context.Background(), n, Params{}, workers, nil)
+			got, changed, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gates := 0
-			for _, id := range n.LiveNodes() {
-				if n.IsGate(id) {
-					gates++
-				}
+			if gates := countGates(n); computed != gates {
+				t.Fatalf("workers=%d: re-merged %d gates, want %d", workers, computed, gates)
 			}
-			if computed != gates {
-				t.Fatalf("workers=%d: computed %d gates, want %d", workers, computed, gates)
+			for _, id := range n.LiveNodes() {
+				if n.IsGate(id) && !changed[id] {
+					t.Fatalf("workers=%d: unseeded gate %d not marked changed", workers, id)
+				}
 			}
 			sameSets(t, n, got, want, "nil seed")
 		}
 	}
 }
 
-// Seeding slots with their true cut lists must change nothing — and the
-// seeded gates must not be re-enumerated.
-func TestEnumerateReuseSeededMatches(t *testing.T) {
+// Seeding every gate with its own list, with every leaf valid, re-merges
+// nothing and changes nothing.
+func TestEnumerateIncrementalSelfSeedReusesEverything(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 10; trial++ {
+		n := randomReuseNet(rng, 6, 60)
+		want := Enumerate(n, Params{})
+		slots := make([][]Cut, n.NumNodes())
+		for _, id := range n.LiveNodes() {
+			if n.IsGate(id) {
+				slots[id] = want.For(id)
+			}
+		}
+		seed := &Seed{Cuts: NewSetFrom(slots), LeafOK: allLeavesOK(n)}
+		for _, workers := range []int{1, 4} {
+			got, changed, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if computed != 0 {
+				t.Fatalf("workers=%d: re-merged %d gates, want 0", workers, computed)
+			}
+			for id, c := range changed {
+				if c {
+					t.Fatalf("workers=%d: node %d marked changed", workers, id)
+				}
+			}
+			sameSets(t, n, got, want, "self seed")
+		}
+	}
+}
+
+// Seeding a random subset of gates with their own lists matches the plain
+// enumeration. A seeded gate is adopted without a re-merge exactly when
+// neither fanin is an unseeded gate, whose re-merged list always counts as
+// changed.
+func TestEnumerateIncrementalSeededSubsetMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		n := randomReuseNet(rng, 6, 60)
 		want := Enumerate(n, Params{})
-		// Seed a random subset of gate slots (with their fanins' slots, the
-		// contract EnumerateReuse's caller maintains — here trivially valid
-		// since seeds are the exact full-enumeration lists).
-		seedSlots := make([][]Cut, n.NumNodes())
-		seeded := 0
+		slots := make([][]Cut, n.NumNodes())
 		for _, id := range n.LiveNodes() {
 			if n.IsGate(id) && rng.Intn(2) == 0 {
-				seedSlots[id] = want.For(id)
-				seeded++
+				slots[id] = want.For(id)
 			}
 		}
+		unseededGate := func(id int) bool { return n.IsGate(id) && slots[id] == nil }
+		adopted := 0
+		for _, id := range n.LiveNodes() {
+			if slots[id] == nil {
+				continue
+			}
+			if f0, f1 := n.Fanins(id); !unseededGate(f0.Node()) && !unseededGate(f1.Node()) {
+				adopted++
+			}
+		}
+		seed := &Seed{Cuts: NewSetFrom(slots), LeafOK: allLeavesOK(n)}
 		for _, workers := range []int{1, 4} {
-			got, computed, err := EnumerateReuse(context.Background(), n, Params{}, workers, NewSetFrom(seedSlots))
+			got, changed, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gates := 0
+			if want := countGates(n) - adopted; computed != want {
+				t.Fatalf("workers=%d: re-merged %d gates, want %d", workers, computed, want)
+			}
 			for _, id := range n.LiveNodes() {
-				if n.IsGate(id) {
-					gates++
+				if n.IsGate(id) && changed[id] != (slots[id] == nil) {
+					t.Fatalf("workers=%d: gate %d changed=%v, seeded=%v", workers, id, changed[id], slots[id] != nil)
 				}
 			}
-			if computed != gates-seeded {
-				t.Fatalf("workers=%d: computed %d, want %d (gates %d, seeded %d)",
-					workers, computed, gates-seeded, gates, seeded)
+			sameSets(t, n, got, want, "seeded subset")
+		}
+	}
+}
+
+// A seeded gate is re-merged, and its wrong seed replaced by the true list,
+// when a fanin's list was re-merged this call or a leaf of a fanin list
+// fails LeafOK.
+func TestEnumerateIncrementalRemergesInvalidatedSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 10; trial++ {
+		n := randomReuseNet(rng, 6, 60)
+		want := Enumerate(n, Params{})
+		// Pick a gate whose first fanin is a gate, so it can be left unseeded.
+		victim := -1
+		for _, id := range n.LiveNodes() {
+			if !n.IsGate(id) {
+				continue
 			}
-			sameSets(t, n, got, want, "seeded")
+			if f0, _ := n.Fanins(id); n.IsGate(f0.Node()) {
+				victim = id
+			}
+		}
+		if victim < 0 {
+			t.Fatalf("trial %d: no gate with a gate fanin", trial)
+		}
+		f0, _ := n.Fanins(victim)
+		fanin := f0.Node()
+
+		cases := []struct {
+			name    string
+			prepare func(slots [][]Cut, leafOK []bool)
+		}{
+			{"fanin re-merged", func(slots [][]Cut, leafOK []bool) { slots[fanin] = nil }},
+			{"leaf not ok", func(slots [][]Cut, leafOK []bool) { leafOK[fanin] = false }},
+		}
+		for _, tc := range cases {
+			slots := make([][]Cut, n.NumNodes())
+			for _, id := range n.LiveNodes() {
+				if n.IsGate(id) {
+					slots[id] = want.For(id)
+				}
+			}
+			slots[victim] = corrupted(want.For(victim))
+			leafOK := allLeavesOK(n)
+			tc.prepare(slots, leafOK)
+			seed := &Seed{Cuts: NewSetFrom(slots), LeafOK: leafOK}
+			for _, workers := range []int{1, 4} {
+				got, changed, _, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !changed[victim] {
+					t.Fatalf("%s, workers=%d: wrong seed of gate %d adopted", tc.name, workers, victim)
+				}
+				sameSets(t, n, got, want, tc.name)
+			}
 		}
 	}
 }
@@ -145,27 +276,30 @@ func TestAppendLeavesAllocs(t *testing.T) {
 	}
 }
 
-// RenumberLeaves through a strictly monotone map must be exactly a fresh
+// TransformLeaves through a strictly monotone map with no complements
+// leaves every table unchanged and must reproduce exactly a fresh
 // enumeration of the isomorphic renumbered network.
-func TestRenumberLeavesMatchesFreshEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := randomReuseNet(rng, 6, 40)
-	s := Enumerate(n, Params{})
-	// Cleanup of a compact network renumbers identically (ids are already in
-	// rebuild order), so shift everything instead: a strictly monotone map.
-	shift := func(id int) int { return id + 3 }
+func TestTransformLeavesShiftMatchesFreshEnumeration(t *testing.T) {
+	const extra = 3
+	n := randomShiftedNet(rand.New(rand.NewSource(23)), 0, 6, 40)
+	shifted := randomShiftedNet(rand.New(rand.NewSource(23)), extra, 6, 40)
+	s, fresh := Enumerate(n, Params{}), Enumerate(shifted, Params{})
 	for _, id := range n.LiveNodes() {
+		if id == 0 {
+			continue // the constant node keeps id 0
+		}
 		cs := append([]Cut(nil), s.For(id)...)
-		RenumberLeaves(cs, shift)
+		TransformLeaves(cs, func(l int) (int, bool) { return l + extra, false }, false)
+		want := fresh.For(id + extra)
+		if len(cs) != len(want) {
+			t.Fatalf("node %d: %d cuts, fresh enumeration has %d", id, len(cs), len(want))
+		}
 		for i, c := range cs {
-			orig := s.For(id)[i]
-			if c.Table != orig.Table || c.Size() != orig.Size() {
-				t.Fatalf("node %d cut %d: table/size changed", id, i)
+			if c.Table != s.For(id)[i].Table {
+				t.Fatalf("node %d cut %d: table changed without complements", id, i)
 			}
-			for j := 0; j < c.Size(); j++ {
-				if c.Leaf(j) != orig.Leaf(j)+3 {
-					t.Fatalf("node %d cut %d leaf %d = %d, want %d", id, i, j, c.Leaf(j), orig.Leaf(j)+3)
-				}
+			if c != want[i] {
+				t.Fatalf("node %d cut %d = %+v, fresh enumeration %+v", id, i, c, want[i])
 			}
 			if c.sig != sigOfLeaves(&c) {
 				t.Fatalf("node %d cut %d: stale signature", id, i)

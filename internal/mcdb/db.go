@@ -1,7 +1,6 @@
 package mcdb
 
 import (
-	"context"
 	"math/bits"
 	"sort"
 	"sync"
@@ -136,7 +135,6 @@ type DB struct {
 	// classification that missed the caches (installed by RegisterMetrics).
 	classifySteps atomic.Pointer[metrics.Histogram]
 
-	ctx   atomic.Pointer[context.Context]
 	stats dbStats
 }
 
@@ -147,25 +145,6 @@ func (db *DB) SetEntryHook(fn func(*Entry)) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.onNew = fn
-}
-
-// SetContext installs a cancellation context consulted by the expensive
-// synthesis searches; a canceled context makes in-flight exact searches
-// abort to the cheap Davio fallback so lookups stay correct but return
-// promptly. Passing nil restores the default (never canceled).
-func (db *DB) SetContext(ctx context.Context) {
-	if ctx == nil {
-		db.ctx.Store(nil)
-		return
-	}
-	db.ctx.Store(&ctx)
-}
-
-func (db *DB) context() context.Context {
-	if p := db.ctx.Load(); p != nil {
-		return *p
-	}
-	return context.Background()
 }
 
 // New returns an empty database.
@@ -484,7 +463,7 @@ func (db *DB) emitDirect(b *builder, f tt.T) uint32 {
 	for n := sh.N; n > 4; n-- {
 		budget /= 16
 	}
-	e, exact, _ := ExactSearchContext(db.context(), sh, db.opts.MaxExactK, budget)
+	e, exact, _ := ExactSearch(sh, db.opts.MaxExactK, budget)
 	if e != nil {
 		if exact {
 			db.stats.exactSyntheses.Add(1)

@@ -72,14 +72,9 @@ func (db *DB) RegisterMetrics(r *metrics.Registry) {
 		"AND gates removed from stored circuits by refinement.",
 		func() float64 { return float64(db.stats.refineAndsSaved.Load()) })
 
-	// Classification fast-path observability (DESIGN.md §14). The step
-	// histogram ranges from trivial searches to the iteration limit; the
-	// incomplete counter mirrors mcdb_incomplete_classifications_total under
-	// the engine-facing mcc_* name the classify dashboards use.
+	// Classification fast-path observability (DESIGN.md §14): the step
+	// histogram ranges from trivial searches to the iteration limit.
 	db.classifySteps.Store(r.Histogram("mcc_classify_steps",
 		"DFS steps consumed per classification that missed the caches.",
 		metrics.ExpBuckets(100, 4, 6)))
-	r.CounterFunc("mcc_classify_incomplete_total",
-		"Classifications that hit the spectral iteration limit.",
-		func() float64 { return float64(db.stats.incomplete.Load()) })
 }

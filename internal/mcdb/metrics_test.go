@@ -34,7 +34,7 @@ func TestClassifyFastPathMetricsExposition(t *testing.T) {
 		"# TYPE mcc_classify_steps histogram",
 		"mcc_classify_steps_count",
 		"mcc_classify_steps_bucket",
-		"mcc_classify_incomplete_total",
+		"mcdb_incomplete_classifications_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, text)
@@ -46,9 +46,9 @@ func TestClassifyFastPathMetricsExposition(t *testing.T) {
 		t.Fatalf("expected both misses and hits, got %+v", s)
 	}
 	for name, want := range map[string]float64{
-		"mcc_classify_steps_count":      float64(s.Classified),
-		"mcc_classify_incomplete_total": float64(s.Incomplete),
-		"mcdb_class_cache_hits_total":   float64(s.ClassCacheHits),
+		"mcc_classify_steps_count":              float64(s.Classified),
+		"mcdb_incomplete_classifications_total": float64(s.Incomplete),
+		"mcdb_class_cache_hits_total":           float64(s.ClassCacheHits),
 	} {
 		found := false
 		for _, line := range strings.Split(text, "\n") {

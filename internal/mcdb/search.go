@@ -1,7 +1,6 @@
 package mcdb
 
 import (
-	"context"
 	"math/bits"
 
 	"repro/internal/tt"
@@ -94,9 +93,6 @@ type searcher struct {
 	budget int    // remaining operand-pair evaluations
 	abort  bool
 
-	ctx  context.Context // optional cancellation; nil = never canceled
-	tick int             // operand evaluations since the last ctx poll
-
 	basis []uint64 // SLP basis element tables: 1, x_i…, a_j…
 	span  []uint64 // all XOR combinations of basis, in mask order
 	ech   echelon
@@ -145,23 +141,12 @@ func (s *searcher) run(k int) bool {
 }
 
 // spend consumes one operand-pair evaluation and reports whether the search
-// must abort (budget exhausted or context canceled). The context is polled
-// every few thousand evaluations so cancellation stays prompt without
-// slowing down the hot scan.
+// must abort because its budget is exhausted.
 func (s *searcher) spend() bool {
 	s.budget--
 	if s.budget <= 0 {
 		s.abort = true
 		return true
-	}
-	if s.ctx != nil {
-		if s.tick++; s.tick >= 4096 {
-			s.tick = 0
-			if s.ctx.Err() != nil {
-				s.abort = true
-				return true
-			}
-		}
 	}
 	return false
 }
@@ -266,13 +251,6 @@ func (s *searcher) lastGate() bool {
 // degree, which makes this bound the difference between an instant answer
 // and a budget-devouring exhaustive proof.
 func ExactSearch(f tt.T, maxK, budget int) (entry *Entry, exact, aborted bool) {
-	return ExactSearchContext(context.Background(), f, maxK, budget)
-}
-
-// ExactSearchContext is ExactSearch with cancellation: when ctx is canceled
-// the search aborts (as if the budget were exhausted), so callers fall back
-// to the cheap Davio construction and return promptly.
-func ExactSearchContext(ctx context.Context, f tt.T, maxK, budget int) (entry *Entry, exact, aborted bool) {
 	lb := f.Degree() - 1
 	if lb < 0 {
 		lb = 0
@@ -283,7 +261,6 @@ func ExactSearchContext(ctx context.Context, f tt.T, maxK, budget int) (entry *E
 	cleanBelow := true // all levels ≥ lb exhausted without budget aborts
 	for k := lb; k <= maxK; k++ {
 		s := newSearcher(f, budget)
-		s.ctx = ctx
 		if s.run(k) {
 			e := &Entry{
 				N:     f.N,

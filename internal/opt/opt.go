@@ -13,30 +13,15 @@ import (
 	"repro/internal/xag"
 )
 
-// Options configures the baseline optimizer.
-type Options struct {
-	CutSize   int // default 4: small cuts, as in classic size rewriting
-	CutLimit  int // default 12
-	MaxRounds int // default 4
-}
-
 // SizeOptimize returns a size-optimized copy of the network: unit-cost cut
-// rewriting iterated to a fixed point (or MaxRounds), with dead logic swept.
-func SizeOptimize(n *xag.Network, opts Options) *xag.Network {
-	if opts.CutSize == 0 {
-		opts.CutSize = 4
-	}
-	if opts.CutLimit == 0 {
-		opts.CutLimit = 12
-	}
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = 4
-	}
+// rewriting with small cuts, as in classic size rewriting (K = 4, 12 cuts
+// per node), iterated to a fixed point or 4 rounds, with dead logic swept.
+func SizeOptimize(n *xag.Network) *xag.Network {
 	res := core.MinimizeMC(n, core.Options{
 		Cost:      cost.Size(),
-		CutSize:   opts.CutSize,
-		CutLimit:  opts.CutLimit,
-		MaxRounds: opts.MaxRounds,
+		CutSize:   4,
+		CutLimit:  12,
+		MaxRounds: 4,
 	})
 	return res.Network
 }

@@ -21,7 +21,7 @@ func TestSizeOptimizeReducesNaiveMuxes(t *testing.T) {
 	n.AddPO(cur, "y")
 	before := n.CountGates()
 
-	o := SizeOptimize(n, Options{})
+	o := SizeOptimize(n)
 	after := o.CountGates()
 	if after.And+after.Xor >= before.And+before.Xor {
 		t.Fatalf("size not reduced: %d -> %d", before.And+before.Xor, after.And+after.Xor)
@@ -35,7 +35,7 @@ func TestSizeOptimizePreservesFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		n := randomNetwork(rng, 8, 100)
-		o := SizeOptimize(n, Options{MaxRounds: 3})
+		o := SizeOptimize(n)
 		if err := sim.Equal(n, o, 4, uint64(trial+1)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -51,7 +51,7 @@ func TestSizeBaselineDoesNotChaseANDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 6; trial++ {
 		n := randomNetwork(rng, 6, 60)
-		o := SizeOptimize(n, Options{})
+		o := SizeOptimize(n)
 		bo, ao := n.CountGates(), o.CountGates()
 		if ao.And+ao.Xor > bo.And+bo.Xor {
 			t.Fatalf("trial %d: total size grew %d -> %d",

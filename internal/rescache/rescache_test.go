@@ -60,7 +60,7 @@ func TestPutGetPromotes(t *testing.T) {
 // per-shard entry budget evicts the least recently used, and a Get refresh
 // protects its entry.
 func TestEntryBoundEviction(t *testing.T) {
-	c := New(4 * numShards, 1<<30) // 4 entries per shard
+	c := New(4*numShards, 1<<30) // 4 entries per shard
 	shardKey := func(i int) Key {
 		k := keyOf(i)
 		k[0] = 0 // all in shard 0

@@ -140,10 +140,6 @@ func (s *Solver) NewVar() int {
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
-// NumClauses returns the number of problem (non-learnt) clauses retained
-// after level-0 simplification.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
-
 // Stats returns cumulative search counters.
 func (s *Solver) Stats() Stats { return s.stats }
 

@@ -72,7 +72,7 @@ type Options struct {
 func RunOne(b bench.Benchmark, opts Options, db *mcdb.DB) (Row, error) {
 	net := b.Build()
 	if opts.Baseline {
-		net = opt.SizeOptimize(net, opt.Options{})
+		net = opt.SizeOptimize(net)
 	}
 	row := Row{Name: b.Name, Group: b.Group, PIs: net.NumPIs(), POs: net.NumPOs()}
 	c := net.CountGates()
@@ -118,7 +118,7 @@ func verifyEquivalent(b bench.Benchmark, before, after *xag.Network) error {
 func Run(benchmarks []bench.Benchmark, opts Options) ([]Row, error) {
 	db := opts.Core.DB
 	if db == nil {
-		db = mcdb.New(opts.Core.DBOptions)
+		db = mcdb.New(mcdb.Options{})
 	}
 	rows := make([]Row, 0, len(benchmarks))
 	for _, b := range benchmarks {

@@ -1,17 +1,12 @@
 package xag
 
 // Dirty-region tracking: the rewriting engine reuses per-node state (cut
-// lists, classifications) across rounds, which is sound only for nodes whose
-// entire fanin cone was untouched by the round's substitutions. The network
-// records, per epoch, which nodes were created and which were substituted;
-// CleanCones folds that into a per-node "cone is clean" bit. Tracking is off
-// (zero cost beyond one branch in Substitute) until BeginDirtyEpoch is
-// called.
-//
-// The invalidation invariant (DESIGN.md §10): a cached per-node fact is
-// valid iff no leaf or interior node of the cone it was computed over is
-// dirty — created this epoch, substituted this epoch, or fed through an edge
-// whose stored target was substituted this epoch.
+// lists, classifications) across rounds, which is sound only for nodes the
+// round's substitutions left locally untouched. The network records, per
+// epoch, which nodes were created and which were substituted; the engine
+// reads that through NodeDirty and checks the wiring around each node
+// itself (DESIGN.md §10). Tracking is off (zero cost beyond one branch in
+// Substitute) until BeginDirtyEpoch is called.
 
 type dirtyState struct {
 	epoch uint32   // 0 = tracking off
@@ -22,7 +17,9 @@ type dirtyState struct {
 // BeginDirtyEpoch starts (or restarts) dirty tracking: every node existing
 // now is initially clean, and subsequent node creations and Substitute calls
 // are recorded until the next BeginDirtyEpoch. The network should be compact
-// (no pending substitutions) when an epoch begins; CleanCones assumes it.
+// (no pending substitutions) when an epoch begins, so that an edge resolving
+// away from its stored target can only mean the target was substituted in
+// this epoch.
 func (n *Network) BeginDirtyEpoch() {
 	n.dirty.epoch++
 	if n.dirty.epoch == 0 { // wrapped: restart, stale stamps must not match
@@ -60,41 +57,4 @@ func (n *Network) stampDirty(id int) {
 		n.dirty.stamp = append(n.dirty.stamp, make([]uint32, len(n.nodes)-len(n.dirty.stamp))...)
 	}
 	n.dirty.stamp[id] = n.dirty.epoch
-}
-
-// CleanCones returns, indexed by node id, whether the node's resolved fanin
-// cone — the node itself, every cone node, and every cone edge — was left
-// untouched by the current epoch: no cone node created or substituted this
-// epoch, and no cone edge redirected by a substitution. Dead and unreached
-// nodes report false; constants and primary inputs report true. With
-// tracking off (no BeginDirtyEpoch yet) everything reports false, the
-// conservative answer.
-//
-// The network must have been compact when BeginDirtyEpoch was called, so
-// that "this edge resolves away from its stored target" can only mean "the
-// target was substituted this epoch".
-func (n *Network) CleanCones() []bool {
-	clean := make([]bool, len(n.nodes))
-	if n.dirty.epoch == 0 {
-		return clean
-	}
-	clean[0] = true
-	for _, id := range n.LiveNodes() {
-		if !n.IsGate(id) {
-			clean[id] = true
-			continue
-		}
-		if n.NodeDirty(id) {
-			continue
-		}
-		nd := n.nodes[id]
-		// An edge is dirty when it no longer points at its stored target —
-		// even if the replacement is itself an old, clean node, the cone
-		// under this node changed.
-		if n.Resolve(nd.fan0) != nd.fan0 || n.Resolve(nd.fan1) != nd.fan1 {
-			continue
-		}
-		clean[id] = clean[nd.fan0.Node()] && clean[nd.fan1.Node()]
-	}
-	return clean
 }

@@ -67,82 +67,6 @@ func TestDirtyTrackingBasics(t *testing.T) {
 	}
 }
 
-// bruteClean recomputes CleanCones from first principles: a live node is
-// clean iff its resolved cone contains no created/substituted node and no
-// gate edge that resolves away from its stored target.
-func bruteClean(n *Network) []bool {
-	clean := make([]bool, n.NumNodes())
-	var coneClean func(id int) bool
-	memo := map[int]bool{}
-	coneClean = func(id int) bool {
-		if v, ok := memo[id]; ok {
-			return v
-		}
-		memo[id] = false // guard (graphs are acyclic, but be safe)
-		v := !n.NodeDirty(id)
-		if v && n.IsGate(id) {
-			nd := n.nodes[id]
-			for _, f := range [2]Lit{nd.fan0, nd.fan1} {
-				if n.Resolve(f) != f || !coneClean(n.Resolve(f).Node()) {
-					v = false
-					break
-				}
-			}
-		}
-		memo[id] = v
-		return v
-	}
-	clean[0] = true
-	for _, id := range n.LiveNodes() {
-		clean[id] = coneClean(id)
-	}
-	return clean
-}
-
-func TestCleanConesMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		n := randomDirtyNet(rng, 6, 40)
-		n.BeginDirtyEpoch()
-		// Random mutations: substitute gates with PI-derived literals (always
-		// acyclic) and create some fresh gates.
-		live := n.LiveNodes()
-		for k := 0; k < 4; k++ {
-			id := live[rng.Intn(len(live))]
-			if !n.IsGate(id) || n.Resolve(MakeLit(id, false)).Node() != id {
-				continue
-			}
-			pi := n.PI(rng.Intn(n.NumPIs()))
-			switch rng.Intn(3) {
-			case 0:
-				n.Substitute(id, pi.NotIf(rng.Intn(2) == 0))
-			case 1:
-				n.Substitute(id, n.And(pi, n.PI(rng.Intn(n.NumPIs()))))
-			case 2:
-				n.Substitute(id, Const0)
-			}
-		}
-		got := n.CleanCones()
-		want := bruteClean(n)
-		for id := range got {
-			if got[id] != want[id] {
-				t.Fatalf("trial %d: CleanCones[%d] = %v, want %v", trial, id, got[id], want[id])
-			}
-		}
-	}
-}
-
-func TestCleanConesWithoutEpochAllFalse(t *testing.T) {
-	n := New()
-	a, b := n.AddPI("a"), n.AddPI("b")
-	n.AddPO(n.And(a, b), "o")
-	for id, c := range n.CleanCones() {
-		if c {
-			t.Fatalf("node %d clean without an epoch", id)
-		}
-	}
-}
-
 // evalNode evaluates one node of a network under a PI assignment (bit i of
 // input = value of PI i).
 func evalNode(n *Network, l Lit, input uint64) bool {

@@ -184,26 +184,6 @@ func (n *Network) MFFCAnds(root int, leaves map[int]bool) int {
 	return ands
 }
 
-// ConeNodes returns the gate nodes in the cone of root bounded by leaves, in
-// topological order (root last). Leaves themselves are not included.
-func (n *Network) ConeNodes(root int, leaves map[int]bool) []int {
-	var order []int
-	seen := make(map[int]bool)
-	var visit func(id int)
-	visit = func(id int) {
-		if seen[id] || leaves[id] || !n.IsGate(id) {
-			return
-		}
-		seen[id] = true
-		f0, f1 := n.Fanins(id)
-		visit(f0.Node())
-		visit(f1.Node())
-		order = append(order, id)
-	}
-	visit(root)
-	return order
-}
-
 // Cleanup rebuilds the network without dead nodes and with all
 // substitutions applied, returning the compact copy. PI order, PO order and
 // names are preserved. The original network is not modified. Note that

@@ -179,10 +179,11 @@ func WithZeroGain(on bool) Option {
 }
 
 // Optimize runs rewriting rounds on net until convergence (or the bound
-// set by WithMaxRounds), honoring ctx for cancellation at round, node,
-// cut-enumeration, and synthesis granularity. The input network is not
-// modified; a canceled run still returns a valid, partially optimized
-// network with Result.Interrupted set.
+// set by WithMaxRounds), honoring ctx for cancellation between rounds,
+// inside cut enumeration, per chunk of classified nodes and every 64
+// commits; a database synthesis already under way finishes first. The input
+// network is not modified; a canceled run still returns a valid, partially
+// optimized network with Result.Interrupted set.
 func Optimize(ctx context.Context, net *Network, opts ...Option) Result {
 	var o core.Options
 	for _, opt := range opts {
