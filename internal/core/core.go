@@ -253,21 +253,6 @@ const ctxCheckStride = 64
 // when the interface is too wide for an exhaustive check.
 const verifyRounds = 8
 
-// replacement is a profitable rewrite candidate for one node. gain and tie
-// come from the cost model: the engine maximizes gain, with lower tie values
-// breaking gain ties (for the MC model, tie is the XOR delta — exactly the
-// pre-model engine's ordering).
-type replacement struct {
-	gain     int
-	tie      int
-	realize  func() xag.Lit
-	constant *xag.Lit // non-nil for a constant substitution
-
-	// for the per-replacement truth-table check
-	want   tt.T
-	leaves []xag.Lit
-}
-
 // functionOf evaluates the function of lit as a truth table over the given
 // leaf literals. The second result is false, and the table meaningless, when
 // the cone of lit reaches a primary input that is not a leaf.

@@ -529,23 +529,22 @@ func (e *Engine) commitNodeProtected(net *xag.Network, id int, cuts []cut.Cut, p
 // substituted.
 func (e *Engine) commitNode(net *xag.Network, id int, cuts []cut.Cut, prep []prepared, deg *Degradation) bool {
 	best := e.bestReplacement(net, id, cuts, prep)
-	return e.applyReplacement(net, id, best, deg)
+	if best < 0 {
+		return false
+	}
+	return e.applyReplacement(net, id, &prep[best], deg)
 }
 
 // bestReplacement re-validates the node's prepared candidates against the
-// current network state and picks the most profitable one, or nil when no
-// candidate survives re-validation. It only reads the network; substitution,
-// logging, and counting are left to applyReplacement.
-func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep []prepared) *replacement {
+// current network state and returns the index of the most profitable one,
+// or -1 when no candidate survives re-validation or none pays. The cost
+// model's gain decides, with lower tie values breaking gain ties (for the MC
+// model, tie is the XOR delta). It only reads the network; realization,
+// substitution, logging, and counting are left to applyReplacement.
+func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep []prepared) int {
 	model := e.opts.Cost
 	needsDepth := model.NeedsDepth()
-	var best *replacement
-	consider := func(r *replacement) {
-		if best == nil || r.gain > best.gain ||
-			(r.gain == best.gain && r.tie < best.tie) {
-			best = r
-		}
-	}
+	best, bestGain, bestTie := -1, 0, 0
 	for pi := range prep {
 		p := &prep[pi]
 		c := &cuts[p.cut]
@@ -577,59 +576,47 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 		if needsDepth {
 			old.Depth = net.AndDepth(id)
 		}
-		if p.constant != nil {
-			gain, tie := model.Gain(old, cost.Costs{})
-			consider(&replacement{gain: gain, tie: tie, constant: p.constant})
-			continue
-		}
-		neu := cost.Costs{Ands: p.newAnds, Xors: p.newXors}
-		if needsDepth {
-			// The depth the realized root would have, from the entry's step
-			// structure and the current depths of the (shrunk-support) leaf
-			// literals. An upper bound: strashing may reuse shallower gates.
-			leafDepths := make([]int, len(p.leaves))
-			for i, l := range p.leaves {
-				leafDepths[i] = net.AndDepth(l.Node())
+		var neu cost.Costs // a constant costs nothing
+		if p.constant == nil {
+			neu = cost.Costs{Ands: p.newAnds, Xors: p.newXors}
+			if needsDepth {
+				// The depth the realized root would have, from the entry's
+				// step structure and the current depths of the
+				// (shrunk-support) leaf literals. An upper bound: strashing
+				// may reuse shallower gates.
+				var depths [tt.MaxVars]int
+				leafDepths := depths[:len(p.leaves)]
+				for i, l := range p.leaves {
+					leafDepths[i] = net.AndDepth(l.Node())
+				}
+				neu.Depth = mcdb.RealizedAndDepth(p.entry, p.tr, leafDepths)
 			}
-			neu.Depth = mcdb.RealizedAndDepth(p.entry, p.tr, leafDepths)
 		}
 		gain, tie := model.Gain(old, neu)
-		entry, tr, leaves := p.entry, p.tr, p.leaves
-		consider(&replacement{
-			gain:    gain,
-			tie:     tie,
-			realize: func() xag.Lit { return mcdb.Realize(net, entry, tr, leaves) },
-			want:    p.want,
-			leaves:  leaves,
-		})
+		if best < 0 || gain > bestGain || (gain == bestGain && tie < bestTie) {
+			best, bestGain, bestTie = pi, gain, tie
+		}
 	}
-	if best == nil {
-		return nil
-	}
-	if best.gain < 0 || (best.gain == 0 && !e.opts.AllowZeroGain) {
-		return nil
+	if bestGain < 0 || (bestGain == 0 && !e.opts.AllowZeroGain) {
+		return -1
 	}
 	return best
 }
 
-// applyReplacement realizes and substitutes the chosen candidate (nil means
-// "no profitable candidate" and is a no-op). It reports whether the node
-// was substituted. Realization happens even when a later check declines
-// the candidate; the dangling nodes it creates die in the end-of-round
-// Cleanup.
-func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, deg *Degradation) bool {
-	if best == nil {
-		return false
-	}
-	if best.constant != nil {
-		net.Substitute(id, *best.constant)
+// applyReplacement realizes and substitutes the chosen candidate. It
+// reports whether the node was substituted. Realization happens even when a
+// later check declines the candidate; the dangling nodes it creates die in
+// the end-of-round Cleanup.
+func (e *Engine) applyReplacement(net *xag.Network, id int, p *prepared, deg *Degradation) bool {
+	if p.constant != nil {
+		net.Substitute(id, *p.constant)
 		return true
 	}
-	lit := best.realize()
+	lit := mcdb.Realize(net, p.entry, p.tr, p.leaves)
 	if net.InTFIScratch(lit, id, &e.tfi) {
 		return false // replacement would feed back into the node's cone
 	}
-	got, bounded := functionOf(net, lit, best.leaves)
+	got, bounded := functionOf(net, lit, p.leaves)
 	if !bounded {
 		// A structural-hash hit resolved to a node an earlier commit of
 		// this round substituted, and its replacement reaches past the
@@ -642,9 +629,9 @@ func (e *Engine) applyReplacement(net *xag.Network, id int, best *replacement, d
 	// substitution is discarded (its dangling nodes die in the end-of-round
 	// Cleanup) and counted, so a sick database degrades optimization
 	// quality, never correctness.
-	if got != best.want {
+	if got != p.want {
 		deg.RejectedRewrites++
-		e.logf("core: node %d: rejected rewrite computing %s, want %s", id, got, best.want)
+		e.logf("core: node %d: rejected rewrite computing %s, want %s", id, got, p.want)
 		return false
 	}
 	net.Substitute(id, lit)

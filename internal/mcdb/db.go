@@ -354,14 +354,8 @@ func (db *DB) entryForLocked(f tt.T) *Entry {
 	return e
 }
 
-// AndCost returns the AND count of the best circuit the database can build
-// for f.
-func (db *DB) AndCost(f tt.T) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.andCostLocked(f)
-}
-
+// andCostLocked returns the AND count of the best circuit the database can
+// build for f. Callers must hold db.mu.
 func (db *DB) andCostLocked(f tt.T) int {
 	if _, _, ok := f.IsAffine(); ok {
 		return 0

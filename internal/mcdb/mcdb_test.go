@@ -94,8 +94,11 @@ func TestDBAndCost5AndChain(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f = f.And(tt.Var(i, 5))
 	}
-	if got := db.AndCost(f); got != 4 {
-		t.Fatalf("AndCost(and5) = %d, want 4", got)
+	db.mu.Lock()
+	got := db.andCostLocked(f)
+	db.mu.Unlock()
+	if got != 4 {
+		t.Fatalf("andCostLocked(and5) = %d, want 4", got)
 	}
 	e := db.EntryFor(f)
 	if e.MC() != 4 {
@@ -163,15 +166,19 @@ func TestRealizeMajorityUsesOneAnd(t *testing.T) {
 }
 
 func TestDBCostMonotonicity(t *testing.T) {
-	// AndCost of a function never exceeds support size − 1 + cost of the
-	// shrunken core... sanity bound: MC ≤ 2^n/2-ish; use the trivial Davio
-	// bound MC(f) ≤ n·2^(n-1) and a concrete small bound for n ≤ 4: MC ≤ 3.
+	// The AND cost of a function never exceeds support size − 1 + cost of
+	// the shrunken core... sanity bound: MC ≤ 2^n/2-ish; use the trivial
+	// Davio bound MC(f) ≤ n·2^(n-1) and a concrete small bound for n ≤ 4:
+	// MC ≤ 3. The cost goes through the class representative's entry, so
+	// 200 functions synthesize at most the 8 four-input classes.
 	db := New(Options{})
 	rng := rand.New(rand.NewSource(34))
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for trial := 0; trial < 200; trial++ {
 		f := tt.New(rng.Uint64(), 4)
-		if c := db.AndCost(f); c > 3 {
-			t.Fatalf("4-var AndCost %d > 3 for %s", c, f)
+		if c := db.andCostLocked(f); c > 3 {
+			t.Fatalf("4-var AND cost %d > 3 for %s", c, f)
 		}
 	}
 }

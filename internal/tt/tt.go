@@ -111,9 +111,6 @@ func (t T) IsConst0() bool { return t.Bits == 0 }
 // IsConst1 reports whether t is the constant-true function.
 func (t T) IsConst1() bool { return t.Bits == Mask(t.N) }
 
-// CountOnes returns the number of satisfying minterms.
-func (t T) CountOnes() int { return bits.OnesCount64(t.Bits) }
-
 // Cofactor returns the cofactor of t with variable i fixed to v. The result
 // no longer depends on x_i but keeps the same variable count.
 func (t T) Cofactor(i int, v bool) T {
@@ -145,9 +142,6 @@ func (t T) SupportMask() uint {
 	}
 	return s
 }
-
-// SupportSize returns the number of variables the function depends on.
-func (t T) SupportSize() int { return bits.OnesCount(t.SupportMask()) }
 
 // Shrink removes don't-care variables, compacting the support to the low
 // variable indices. It returns the shrunk table and, for each new variable

@@ -187,22 +187,7 @@ func TestInTFIScratchMatchesInTFI(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		l := MakeLit(ids[rng.Intn(len(ids))], rng.Intn(2) == 1)
 		target := ids[rng.Intn(len(ids))]
-		want := func(l Lit, target int) bool {
-			seen := map[int]bool{}
-			var walk func(id int) bool
-			walk = func(id int) bool {
-				if id == target {
-					return true
-				}
-				if seen[id] || !n.IsGate(id) {
-					return false
-				}
-				seen[id] = true
-				f0, f1 := n.Fanins(id)
-				return walk(f0.Node()) || walk(f1.Node())
-			}
-			return walk(n.Resolve(l).Node())
-		}(l, target)
+		want := refInTFI(n, l, target)
 		if got := n.InTFIScratch(l, target, &s); got != want {
 			t.Fatalf("InTFIScratch(%v, %d) = %v, want %v", l, target, got, want)
 		}

@@ -177,13 +177,6 @@ func (n *Network) MFFCScratch(root int, leaves []int, s *ConeScratch) (ands, xor
 	return ands, xors
 }
 
-// MFFCAnds returns only the AND-gate count of the maximum fanout-free cone;
-// see MFFC.
-func (n *Network) MFFCAnds(root int, leaves map[int]bool) int {
-	ands, _ := n.MFFC(root, leaves)
-	return ands
-}
-
 // Cleanup rebuilds the network without dead nodes and with all
 // substitutions applied, returning the compact copy. PI order, PO order and
 // names are preserved. The original network is not modified. Note that
@@ -265,6 +258,7 @@ func (n *Network) Clone() *Network {
 			base:  n.dirty.base,
 			stamp: append([]uint32(nil), n.dirty.stamp...),
 		},
+		ord: append([]uint64(nil), n.ord...),
 	}
 	for id, name := range n.names {
 		out.names[id] = name

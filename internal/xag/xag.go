@@ -117,6 +117,15 @@ type Network struct {
 	// Dirty-region tracking for incremental cross-round rewriting; see
 	// dirty.go. Inactive (epoch 0) until BeginDirtyEpoch.
 	dirty dirtyState
+
+	// Topological labels that let InTFIScratch skip every node too low to
+	// reach its target. Invariant: ord[f] < ord[g] for each resolved fanin
+	// f of every unsubstituted gate g, dead gates included (a structural-
+	// hash hit can revive them). Inputs and the constant are labelled 0.
+	// Substitute keeps the invariant, lowering labels in the replacement's
+	// cone through ordWalk, or relabelling the whole network.
+	ord     []uint64
+	ordWalk TFIScratch
 }
 
 // New returns an empty network containing only the constant node.
@@ -142,6 +151,7 @@ func (n *Network) addNode(nd node) int {
 		stamp = n.depthEpoch - 1 // stale until computed from the fanins
 	}
 	n.depthStamp = append(n.depthStamp, stamp)
+	n.ord = append(n.ord, 0)
 	return id
 }
 
@@ -299,6 +309,7 @@ func (n *Network) lookupOrCreate(kind Kind, a, b Lit) Lit {
 	n.strash[key] = id
 	n.refs[a.Node()]++
 	n.refs[b.Node()]++
+	n.ord[id] = max(n.ord[a.Node()], n.ord[b.Node()]) + 1
 	// Eagerly stamp the new gate's depth when both fanins are current —
 	// always the case on a freshly built network, so construction keeps
 	// every node's Level/AndDepth valid at O(1) per gate.
@@ -380,6 +391,12 @@ func (n *Network) EnsureDepths() {
 // The caller must guarantee that old is not in the transitive fanin of repl
 // (see InTFI). Reference counts are updated: the old node's fanout count is
 // transferred to repl, and old's cone is dereferenced.
+//
+// The topological labels InTFIScratch prunes with stay valid: old's fanouts
+// now read repl, so repl's label must fall below old's. When it does not,
+// the gates of repl's cone labelled at least old's are lowered to one more
+// than their fanins' largest label; if repl is still too high after that,
+// every unsubstituted node is relabelled in a fresh topological order.
 func (n *Network) Substitute(old int, replacement Lit) {
 	replacement = n.Resolve(replacement)
 	if replacement.Node() == old {
@@ -401,6 +418,64 @@ func (n *Network) Substitute(old int, replacement Lit) {
 	n.refs[old] = 0
 	if wasLive {
 		n.deref(old)
+	}
+	if floor := n.ord[old]; n.ord[rid] >= floor {
+		n.lowerCone(rid, floor)
+		if n.ord[rid] >= floor {
+			n.relabel()
+		}
+	}
+}
+
+// lowerCone relabels each gate of root's cone whose label is at least floor
+// to one more than its fanins' largest label. A label only falls, so the
+// order invariant holds at every step.
+func (n *Network) lowerCone(root int, floor uint64) {
+	n.ordWalk.begin(len(n.nodes))
+	n.faninsFirst(root, floor, func(id int) {
+		f0, f1 := n.Fanins(id)
+		n.ord[id] = max(n.ord[f0.Node()], n.ord[f1.Node()]) + 1
+	})
+}
+
+// relabel gives every unsubstituted gate, live or dead, its position in a
+// depth-first topological order, shifted left by 32 bits so the gates later
+// commits build fit between their fanins and the nodes above.
+func (n *Network) relabel() {
+	n.ordWalk.begin(len(n.nodes))
+	pos := uint64(0)
+	place := func(id int) {
+		pos++
+		n.ord[id] = pos << 32
+	}
+	for id := range n.nodes {
+		if n.repl[id].Node() == id {
+			n.faninsFirst(id, 0, place)
+		}
+	}
+}
+
+// faninsFirst calls place on each gate of root's cone labelled at least
+// floor, after its fanins, skipping gates the current ordWalk already
+// visited. It does not descend below floor.
+func (n *Network) faninsFirst(root int, floor uint64, place func(id int)) {
+	s := &n.ordWalk
+	s.stack = append(s.stack, int32(root))
+	for len(s.stack) > 0 {
+		top := s.stack[len(s.stack)-1]
+		if top < 0 { // second visit: the fanins are placed
+			s.stack = s.stack[:len(s.stack)-1]
+			place(int(^top))
+			continue
+		}
+		if s.stamp[top] == s.epoch || n.ord[top] < floor || !n.IsGate(int(top)) {
+			s.stack = s.stack[:len(s.stack)-1]
+			continue
+		}
+		s.stamp[top] = s.epoch
+		s.stack[len(s.stack)-1] = ^top
+		f0, f1 := n.Fanins(int(top))
+		s.stack = append(s.stack, int32(f0.Node()), int32(f1.Node()))
 	}
 }
 
@@ -435,13 +510,11 @@ type TFIScratch struct {
 	stack []int32
 }
 
-// InTFIScratch is InTFI with caller-owned scratch: repeated queries reuse
-// the visited stamps and traversal stack, so a query allocates only when the
-// network outgrew the scratch. The commit loop of a rewriting round calls
-// this once per applied replacement.
-func (n *Network) InTFIScratch(l Lit, target int, s *TFIScratch) bool {
-	if len(s.stamp) < len(n.nodes) {
-		s.stamp = make([]int32, len(n.nodes)+len(n.nodes)/2)
+// begin starts a walk over a network of size nodes: it opens a fresh stamp
+// epoch and empties the stack.
+func (s *TFIScratch) begin(size int) {
+	if len(s.stamp) < size {
+		s.stamp = make([]int32, size+size/2)
 		s.epoch = 0
 	}
 	s.epoch++
@@ -451,14 +524,31 @@ func (n *Network) InTFIScratch(l Lit, target int, s *TFIScratch) bool {
 		}
 		s.epoch = 1
 	}
-	s.stack = append(s.stack[:0], int32(n.Resolve(l).Node()))
+	s.stack = s.stack[:0]
+}
+
+// InTFIScratch is InTFI with caller-owned scratch: repeated queries reuse
+// the visited stamps and traversal stack, so a query allocates only when the
+// network outgrew the scratch. The commit loop of a rewriting round calls
+// this once per applied replacement.
+//
+// The answer is exact, but the walk visits only the nodes labelled above
+// target: every fanin of a node sits strictly lower in the topological
+// labels Substitute maintains, so a node labelled at most target's, other
+// than target itself, cannot have target in its cone. A replacement built
+// over a cut's leaves therefore costs the few gates above target, not its
+// whole transitive fanin.
+func (n *Network) InTFIScratch(l Lit, target int, s *TFIScratch) bool {
+	s.begin(len(n.nodes))
+	lim := n.ord[target]
+	s.stack = append(s.stack, int32(n.Resolve(l).Node()))
 	for len(s.stack) > 0 {
 		id := int(s.stack[len(s.stack)-1])
 		s.stack = s.stack[:len(s.stack)-1]
 		if id == target {
 			return true
 		}
-		if s.stamp[id] == s.epoch || !n.IsGate(id) {
+		if s.stamp[id] == s.epoch || n.ord[id] <= lim {
 			continue
 		}
 		s.stamp[id] = s.epoch

@@ -198,12 +198,12 @@ func TestMFFCAnds(t *testing.T) {
 	leaves := map[int]bool{a.Node(): true, b.Node(): true, cin.Node(): true}
 	// cout's MFFC holds the three ANDs; the a⊕b XOR is shared with sum and
 	// must stay out.
-	if got := n.MFFCAnds(cout.Node(), leaves); got != 3 {
+	if got, _ := n.MFFC(cout.Node(), leaves); got != 3 {
 		t.Fatalf("MFFC ANDs = %d, want 3", got)
 	}
 	// The sum cone contains only XORs.
 	sum := n.PO(0)
-	if got := n.MFFCAnds(sum.Node(), leaves); got != 0 {
+	if got, _ := n.MFFC(sum.Node(), leaves); got != 0 {
 		t.Fatalf("sum MFFC ANDs = %d, want 0", got)
 	}
 }
@@ -218,7 +218,7 @@ func TestMFFCStopsAtSharedNodes(t *testing.T) {
 	n.AddPO(other, "o")
 	leaves := map[int]bool{a.Node(): true, b.Node(): true, c.Node(): true}
 	// shared has another fanout, so only top is in the MFFC.
-	if got := n.MFFCAnds(top.Node(), leaves); got != 1 {
+	if got, _ := n.MFFC(top.Node(), leaves); got != 1 {
 		t.Fatalf("MFFC ANDs = %d, want 1", got)
 	}
 }
