@@ -111,18 +111,15 @@ func (e *Engine) Round(ctx context.Context, net *xag.Network) (*xag.Network, Rou
 }
 
 // prepared is the precomputed, network-independent part of one cut's
-// replacement candidate: everything stage 2 can decide from the cut
-// function alone. Gain and leaf liveness are deliberately absent — they
+// replacement candidate: the cut, its shrunk function and leaves, and the
+// verdict stage 2 reached for that function, which every candidate of the
+// function shares. Gain and leaf liveness are deliberately absent — they
 // depend on the evolving network and are re-validated at commit time.
 type prepared struct {
-	cut      int      // index into the node's cut list
-	constant *xag.Lit // non-nil when the cut function is constant
-	want     tt.T     // shrunk cut function (after fault injection)
-	leaves   []xag.Lit
-	entry    *mcdb.Entry
-	tr       spectral.Transform
-	newAnds  int
-	newXors  int
+	cut     int       // index into the node's cut list
+	want    tt.T      // shrunk cut function (after fault injection)
+	leaves  []xag.Lit // leaf literals of the shrunk support; nil for a constant
+	verdict *memoPrep // a constant or a usable entry, never a skip
 }
 
 // round runs one three-stage pass. When inc is non-nil the round consumes
@@ -137,12 +134,13 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 		cuts   *cut.Set
 		prep   [][]prepared
 		depths []int // round-start depth snapshot (depth-ranked models only)
+		base   int   // node count when the commit stage began
 	)
 	finish := func(err error) (*xag.Network, RoundStats, error) {
 		out, oldToNew := net.CleanupMap()
 		if inc != nil {
 			if err == nil {
-				e.carryState(inc, net, out, oldToNew, cuts, prep, depths)
+				e.carryState(inc, net, out, oldToNew, cuts, prep, depths, base)
 			} else {
 				inc.valid = false // interrupted round: drop the seeds
 			}
@@ -154,46 +152,22 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 		return out, stats, err
 	}
 
-	params := cut.Params{K: e.opts.CutSize, Limit: e.opts.CutLimit}
-	if e.opts.Cost.NeedsDepth() {
-		// Fill every depth cache up front: afterwards concurrent AndDepth
-		// reads are pure, so the rank callback is safe inside the
-		// level-parallel enumeration workers.
-		net.EnsureDepths()
-		model := e.opts.Cost
-		params.Rank = func(leaves []int) int {
-			ds := make([]int, len(leaves))
-			for i, id := range leaves {
-				ds[i] = net.AndDepth(id)
-			}
-			return model.CutRank(ds)
+	params := e.cutParams(net)
+	if params.Rank != nil && inc != nil {
+		// Snapshot the depths the ranks are computed from: next round's
+		// reuse must prove each seed leaf still ranks identically.
+		depths = make([]int, net.NumNodes())
+		for i := range depths {
+			depths[i] = -1
 		}
-		if inc != nil {
-			// Snapshot the depths the ranks are computed from: next round's
-			// reuse must prove each seed leaf still ranks identically.
-			depths = make([]int, net.NumNodes())
-			for i := range depths {
-				depths[i] = -1
-			}
-			for _, id := range net.LiveNodes() {
-				depths[id] = net.AndDepth(id)
-			}
+		for _, id := range net.LiveNodes() {
+			depths[id] = net.AndDepth(id)
 		}
 	}
 	var seed *cut.Seed
 	var seedPrep [][]prepared
 	if inc != nil && inc.valid {
-		leafOK := inc.leafOK
-		if params.Rank != nil {
-			// Ranked enumeration: a leaf is only safe if its depth — the
-			// rank input — matches the snapshot the seed was pruned with.
-			leafOK = make([]bool, len(inc.leafOK))
-			for id := range leafOK {
-				leafOK[id] = inc.leafOK[id] && inc.depth != nil && id < len(inc.depth) &&
-					inc.depth[id] == net.AndDepth(id)
-			}
-		}
-		seed = &cut.Seed{Cuts: inc.cuts, LeafOK: leafOK}
+		seed = inc.seed(net, params.Rank != nil)
 		seedPrep = inc.prep
 	}
 
@@ -239,15 +213,35 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 	}
 	stats.Classified = classified
 
-	// Track which nodes the commits touch, so carryState can tell clean
-	// cones (reusable) from dirty ones.
-	net.BeginDirtyEpoch()
+	// Every gate with an id at or above base is one the commits built, which
+	// carryState must not carry.
+	base = net.NumNodes()
 	stageStart = time.Now()
 	pprof.Do(ctx, pprof.Labels("stage", "commit"), func(ctx context.Context) {
 		err = e.commitStage(ctx, net, order, cuts, prep, &stats, deg)
 	})
 	stats.CommitTime = time.Since(stageStart)
 	return finish(err)
+}
+
+// cutParams returns the enumeration parameters of a round over net. Models
+// that need depth rank cuts by their leaves' AND depths; for them every
+// depth cache is filled up front, so the concurrent AndDepth reads of the
+// rank callback inside the level-parallel enumeration workers are pure.
+func (e *Engine) cutParams(net *xag.Network) cut.Params {
+	params := cut.Params{K: e.opts.CutSize, Limit: e.opts.CutLimit}
+	if e.opts.Cost.NeedsDepth() {
+		net.EnsureDepths()
+		model := e.opts.Cost
+		params.Rank = func(leaves []int) int {
+			ds := make([]int, len(leaves))
+			for i, id := range leaves {
+				ds[i] = net.AndDepth(id)
+			}
+			return model.CutRank(ds)
+		}
+	}
+	return params
 }
 
 // classifyChunk is how many order slots a classify worker claims per fetch:
@@ -265,21 +259,32 @@ type prepKey struct {
 }
 
 // memoPrep is one cut function's classification verdict, as the
-// worker-local map caches it. Exactly one of three shapes holds: skip
-// (incomplete or invalid — the cut contributes no candidate), constant
-// (sh.N == 0, handled before the lookup), or a usable entry.
+// worker-local map caches it and every candidate of the function points at
+// it. Exactly one of three shapes holds: skip (incomplete or invalid — the
+// cut contributes no candidate), constant (sh.N == 0, one of constVerdicts),
+// or a usable entry. A verdict never changes once built, so candidates
+// carried into the next round keep pointing at a valid one.
 type memoPrep struct {
 	entry      *mcdb.Entry
 	tr         spectral.Transform
 	newAnds    int
 	newXors    int
-	incomplete bool // skipped and counted as IncompleteClassifications
-	invalid    bool // counted as InvalidEntries
+	constant   bool    // the function is constant: substitute value
+	value      xag.Lit // xag.Const0 or xag.Const1 when constant
+	incomplete bool    // skipped and counted as IncompleteClassifications
+	invalid    bool    // counted as InvalidEntries
 }
 
 // skipIncomplete is the verdict of every incomplete classification. It is
 // shared: no entry was fetched, so there is nothing per function to keep.
 var skipIncomplete = &memoPrep{incomplete: true}
+
+// constVerdicts are the shared verdicts of the constant functions, indexed
+// by value.
+var constVerdicts = [2]*memoPrep{
+	{constant: true, value: xag.Const0},
+	{constant: true, value: xag.Const1},
+}
 
 // localPrepPool recycles the worker-local classification maps across rounds
 // and engines. Maps are returned cleared; pooling preserves their grown
@@ -358,18 +363,11 @@ func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []in
 			}
 		}
 	}
-	if workers == 1 {
-		// Run inline: single-worker rounds stay goroutine-free, which keeps
-		// stack traces and profiles of sequential runs trivial to read.
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		work()
-	} else {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go work()
-		}
-		wg.Wait()
+		go work()
 	}
+	wg.Wait()
 	if canceled.Load() || ctx.Err() != nil {
 		return nil, 0, ctx.Err()
 	}
@@ -408,11 +406,11 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, localPrep map[prepKey]*memo
 		// rewrite. Fires inside workers; the registry serializes hooks.
 		faultinject.Inject(faultinject.PointCutFunction, &sh)
 		if sh.N == 0 {
-			lit := xag.Const0
+			v := constVerdicts[0]
 			if sh.IsConst1() {
-				lit = xag.Const1
+				v = constVerdicts[1]
 			}
-			out = append(out, prepared{cut: ci, constant: &lit})
+			out = append(out, prepared{cut: ci, verdict: v})
 			continue
 		}
 
@@ -441,15 +439,7 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, localPrep map[prepKey]*memo
 			leafArena = append(leafArena, xag.MakeLit(c.Leaf(origVar), false))
 		}
 		leaves := leafArena[base:len(leafArena):len(leafArena)]
-		out = append(out, prepared{
-			cut:     ci,
-			want:    sh,
-			leaves:  leaves,
-			entry:   mp.entry,
-			tr:      mp.tr,
-			newAnds: mp.newAnds,
-			newXors: mp.newXors,
-		})
+		out = append(out, prepared{cut: ci, want: sh, leaves: leaves, verdict: mp})
 	}
 	return out
 }
@@ -492,9 +482,6 @@ func (e *Engine) commitStage(ctx context.Context, net *xag.Network, order []int,
 		}
 		if !net.IsGate(id) {
 			continue
-		}
-		if net.Resolve(xag.MakeLit(id, false)).Node() != id {
-			continue // already replaced in this round
 		}
 		if net.Ref(id) == 0 {
 			continue // died as part of an earlier replacement
@@ -577,8 +564,8 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 			old.Depth = net.AndDepth(id)
 		}
 		var neu cost.Costs // a constant costs nothing
-		if p.constant == nil {
-			neu = cost.Costs{Ands: p.newAnds, Xors: p.newXors}
+		if v := p.verdict; !v.constant {
+			neu = cost.Costs{Ands: v.newAnds, Xors: v.newXors}
 			if needsDepth {
 				// The depth the realized root would have, from the entry's
 				// step structure and the current depths of the
@@ -589,7 +576,7 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 				for i, l := range p.leaves {
 					leafDepths[i] = net.AndDepth(l.Node())
 				}
-				neu.Depth = mcdb.RealizedAndDepth(p.entry, p.tr, leafDepths)
+				neu.Depth = mcdb.RealizedAndDepth(v.entry, v.tr, leafDepths)
 			}
 		}
 		gain, tie := model.Gain(old, neu)
@@ -608,11 +595,12 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 // later check declines the candidate; the dangling nodes it creates die in
 // the end-of-round Cleanup.
 func (e *Engine) applyReplacement(net *xag.Network, id int, p *prepared, deg *Degradation) bool {
-	if p.constant != nil {
-		net.Substitute(id, *p.constant)
+	v := p.verdict
+	if v.constant {
+		net.Substitute(id, v.value)
 		return true
 	}
-	lit := mcdb.Realize(net, p.entry, p.tr, p.leaves)
+	lit := mcdb.Realize(net, v.entry, v.tr, p.leaves)
 	if net.InTFIScratch(lit, id, &e.tfi) {
 		return false // replacement would feed back into the node's cone
 	}

@@ -24,19 +24,37 @@ type incState struct {
 	depth  []int        // round-start depth by new id (-1 absent); nil unless ranked
 }
 
+// seed returns the cut seed for net, the network the carried lists were
+// renumbered into. Under a ranked enumeration a leaf is only safe if its
+// depth — the rank input — matches the snapshot the seed was pruned with.
+func (inc *incState) seed(net *xag.Network, ranked bool) *cut.Seed {
+	leafOK := inc.leafOK
+	if ranked {
+		leafOK = make([]bool, len(inc.leafOK))
+		for id := range leafOK {
+			leafOK[id] = inc.leafOK[id] && inc.depth != nil && id < len(inc.depth) &&
+				inc.depth[id] == net.AndDepth(id)
+		}
+	}
+	return &cut.Seed{Cuts: inc.cuts, LeafOK: leafOK}
+}
+
 // carryState distills the finished round into seeds for the next one.
 //
 // old is the pre-Cleanup network after the commit stage, out its compacted
 // image, m the old→new literal map from CleanupMap, cuts/prep the round's
-// enumeration and classification results (indexed by old ids), and depths
-// the round-start depth snapshot (nil for models without depth ranking).
+// enumeration and classification results (indexed by old ids), depths the
+// round-start depth snapshot (nil for models without depth ranking), and
+// base the node count when the commit stage began: every id at or above it
+// is a gate the commits built.
 //
 // A gate's cut list is carried only when it can still describe the same
 // structure in out:
 //
-//   - the gate is locally clean — not created or substituted this round,
-//     and both stored fanin edges still resolve to themselves — so the node
-//     and its immediate wiring are unchanged;
+//   - the gate is locally clean — below base, and both stored fanin edges
+//     still resolve to themselves — so the node and its immediate wiring are
+//     unchanged. The gate itself was not substituted: the walk over
+//     old.LiveNodes() resolves every edge, so it never reaches such a node;
 //   - the gate's image is a gate of the same kind whose fanins are the
 //     images of the old fanins (in either order), and each fanin kept its
 //     gate/input nature — deep substitutions can violate any of these even
@@ -59,11 +77,11 @@ type incState struct {
 // next round's decision (cut.EnumerateIncremental): it requires the fanin
 // lists to be unchanged and every candidate leaf to pass leafOK — the
 // order-preservation flag computed here (new id above every earlier and
-// below every later pre-epoch survivor's, so all leaf-id comparisons inside
-// merge, prune tie-breaks, and subsumption come out the same) — plus, for
-// ranked runs, an unchanged depth. Seeds that fail are simply recomputed
-// and compared, which costs time, never correctness.
-func (e *Engine) carryState(inc *incState, old, out *xag.Network, m []xag.Lit, cuts *cut.Set, prep [][]prepared, depths []int) {
+// below every later survivor's, so all leaf-id comparisons inside merge,
+// prune tie-breaks, and subsumption come out the same) — plus, for ranked
+// runs, an unchanged depth. Seeds that fail are simply recomputed and
+// compared, which costs time, never correctness.
+func (e *Engine) carryState(inc *incState, old, out *xag.Network, m []xag.Lit, cuts *cut.Set, prep [][]prepared, depths []int, base int) {
 	inc.valid = false
 	inc.cuts, inc.prep, inc.prepOK, inc.leafOK, inc.depth = nil, nil, nil, nil, nil
 	defer func() {
@@ -76,12 +94,11 @@ func (e *Engine) carryState(inc *incState, old, out *xag.Network, m []xag.Lit, c
 
 	numOld := old.NumNodes()
 	numNew := out.NumNodes()
-	base := old.DirtyCreatedBase() // nodes with id >= base were created this round
 
-	// Survivors: pre-epoch nodes that kept a node image (of either polarity)
-	// across Cleanup, in ascending old-id order. Only their images can serve
-	// as seed leaves — seed lists were enumerated at round start, before any
-	// node of this epoch existed — so nodes created by the round's commits
+	// Survivors: nodes below base that kept a node image (of either
+	// polarity) across Cleanup, in ascending old-id order. Only their images
+	// can serve as seed leaves — seed lists were enumerated before the
+	// commit stage built anything — so nodes created by the round's commits
 	// (which Cleanup renumbers into the middle of the id space) are excluded
 	// from the order universe: their scrambled placement is irrelevant to
 	// every comparison a seeded re-merge can perform.
@@ -102,11 +119,11 @@ func (e *Engine) carryState(inc *incState, old, out *xag.Network, m []xag.Lit, c
 		}
 	}
 
-	// leafOK (by new id): pre-epoch survivors whose renumbering preserves id
-	// order against all other pre-epoch survivors — new id above every
-	// earlier survivor's (prefix max) and below every later one's (suffix
-	// min). The strict inequalities also reject two old nodes folding onto
-	// one image node (equal in the new space, distinct in the old).
+	// leafOK (by new id): survivors whose renumbering preserves id order
+	// against all other survivors — new id above every earlier survivor's
+	// (prefix max) and below every later one's (suffix min). The strict
+	// inequalities also reject two old nodes folding onto one image node
+	// (equal in the new space, distinct in the old).
 	leafOK := make([]bool, numNew)
 	pre := make([]bool, len(surv))
 	maxBefore := int32(-1)
@@ -152,11 +169,12 @@ func (e *Engine) carryState(inc *incState, old, out *xag.Network, m []xag.Lit, c
 		if img == xag.NullLit {
 			continue
 		}
-		if old.NodeDirty(id) {
-			continue
+		if id >= base {
+			continue // built by this round's commits
 		}
-		f0, f1 := old.Fanins(id)
-		if old.Resolve(f0) != f0 || old.Resolve(f1) != f1 {
+		s0, s1 := old.StoredFanins(id)
+		f0, f1 := old.Resolve(s0), old.Resolve(s1)
+		if f0 != s0 || f1 != s1 {
 			continue // a fanin was substituted: the local structure changed
 		}
 		// The gate's new incarnation must be wired exactly as the old one

@@ -5,9 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/cut"
 	"repro/internal/xag"
 )
 
@@ -176,4 +178,63 @@ func TestRoundStatsAccounting(t *testing.T) {
 	// The stringification below keeps the fields from being optimized into
 	// the void if the struct changes shape; it also documents the layout.
 	_ = fmt.Sprintf("%+v", res.Rounds[0])
+}
+
+// TestIncrementalDropsGateWithSubstitutedFanin pins the local-cleanliness
+// check of carryState: a gate whose stored fanin a commit substituted keeps
+// its node id and its place in LiveNodes, but its cut list describes the
+// old cone and must not be carried. Here g = a∧z with a = x∧y, and the
+// commit replaces a by t = z⊕w, an output Cleanup numbers before the AND
+// gates, so every id keeps its order. Under depth ranking with one cut per
+// node, g's list is [{x,y,z}]; carried, the next round would adopt it
+// unchanged, since g's resolved fanins t and z and their lists are the same
+// as at round start, where a fresh enumeration gives [{z,w}].
+func TestIncrementalDropsGateWithSubstitutedFanin(t *testing.T) {
+	b := xag.New()
+	x, y, z, w := b.AddPI("x"), b.AddPI("y"), b.AddPI("z"), b.AddPI("w")
+	b.AddPO(b.Xor(z, w), "t")
+	b.AddPO(b.And(b.And(x, y), z), "g")
+	net := b.Cleanup()
+	tl, g := net.PO(0), net.PO(1).Node()
+	_, al := net.Fanins(g)
+	if !net.IsGate(al.Node()) {
+		t.Fatalf("g's second fanin %v is not the gate a", al)
+	}
+
+	e := NewEngine(nil, Options{Cost: cost.Depth(), CutSize: 3, CutLimit: 1})
+	params := e.cutParams(net)
+	cuts := cut.Enumerate(net, params)
+	if got := cuts.For(g)[0].Leaves(); !reflect.DeepEqual(got, []int{x.Node(), y.Node(), z.Node()}) {
+		t.Fatalf("g keeps cut %v, want {x,y,z}", got)
+	}
+	depths := make([]int, net.NumNodes())
+	for id := range depths {
+		depths[id] = net.AndDepth(id)
+	}
+	prep := make([][]prepared, net.NumNodes())
+
+	// What a commit does: replace a by t, then the end-of-round Cleanup.
+	base := net.NumNodes()
+	net.Substitute(al.Node(), tl)
+	out, m := net.CleanupMap()
+	inc := &incState{}
+	e.carryState(inc, net, out, m, cuts, prep, depths, base)
+	if !inc.valid {
+		t.Fatal("carryState dropped every seed")
+	}
+	if cs := inc.cuts.For(m[g].Node()); cs != nil {
+		t.Fatalf("g carries a cut list over its substituted fanin: %v", cs[0].Leaves())
+	}
+
+	params = e.cutParams(out)
+	got, _, _, err := cut.EnumerateIncremental(context.Background(), out, params, 1, inc.seed(out, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cut.Enumerate(out, params)
+	for id := 0; id < out.NumNodes(); id++ {
+		if !reflect.DeepEqual(got.For(id), want.For(id)) {
+			t.Errorf("node %d: seeded enumeration %v, fresh %v", id, got.For(id), want.For(id))
+		}
+	}
 }

@@ -56,11 +56,6 @@ type Model interface {
 	// Name returns the CLI-facing identifier ("mc", "size", "depth").
 	Name() string
 
-	// Weight returns the cost weight one gate of the given kind contributes
-	// to a network under this model (e.g. 1/0 for MC, 1/1 for Size).
-	// Depth-style models weight the gates that extend critical paths.
-	Weight(kind xag.Kind) int
-
 	// Gain scores replacing a cone costing old with an implementation
 	// costing new. The engine maximizes gain; tie orders candidates with
 	// equal gain (lower is better). A replacement is applied only when its
@@ -122,13 +117,6 @@ type mcModel struct{}
 
 func (mcModel) Name() string { return "mc" }
 
-func (mcModel) Weight(kind xag.Kind) int {
-	if kind == xag.KindAnd {
-		return 1
-	}
-	return 0
-}
-
 func (mcModel) Gain(old, new Costs) (int, int) {
 	return old.Ands - new.Ands, new.Xors - old.Xors
 }
@@ -151,8 +139,6 @@ func (mcModel) CutRank([]int) int { return 0 }
 type sizeModel struct{}
 
 func (sizeModel) Name() string { return "size" }
-
-func (sizeModel) Weight(xag.Kind) int { return 1 }
 
 func (sizeModel) Gain(old, new Costs) (int, int) {
 	return (old.Ands + old.Xors) - (new.Ands + new.Xors), new.Xors - old.Xors
@@ -182,13 +168,6 @@ const (
 type depthModel struct{}
 
 func (depthModel) Name() string { return "depth" }
-
-func (depthModel) Weight(kind xag.Kind) int {
-	if kind == xag.KindAnd {
-		return 1
-	}
-	return 0
-}
 
 func (depthModel) Gain(old, new Costs) (int, int) {
 	and := old.Ands - new.Ands

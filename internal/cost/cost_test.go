@@ -43,9 +43,6 @@ func TestMCGainMatchesLegacySemantics(t *testing.T) {
 	if m.NeedsDepth() {
 		t.Fatal("MC model must not require depth tracking")
 	}
-	if m.Weight(xag.KindAnd) != 1 || m.Weight(xag.KindXor) != 0 {
-		t.Fatal("MC weights: AND=1, XOR=0")
-	}
 }
 
 func TestSizeGain(t *testing.T) {
@@ -53,9 +50,6 @@ func TestSizeGain(t *testing.T) {
 	g, _ := m.Gain(Costs{Ands: 2, Xors: 5}, Costs{Ands: 3, Xors: 1})
 	if g != 3 {
 		t.Fatalf("size gain = %d, want 3", g)
-	}
-	if m.Weight(xag.KindXor) != 1 {
-		t.Fatal("size weights every gate 1")
 	}
 	if !m.Improved(xag.Counts{And: 3, Xor: 3}, xag.Counts{And: 4, Xor: 1}) {
 		t.Fatal("size improvement is AND+XOR")

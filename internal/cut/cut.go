@@ -352,28 +352,10 @@ func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers
 		changed[id] = !equalCuts(cs, s)
 	}
 
-	if workers <= 1 {
-		sc := scratchPool.Get().(*scratch)
-		defer scratchPool.Put(sc)
-		for step, id := range n.LiveNodes() {
-			if step%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, 0, err
-				}
-			}
-			if !n.IsGate(id) {
-				res.byID[id] = []Cut{trivial(id)}
-				continue
-			}
-			visit(id, sc)
-		}
-		return res, changed, int(computed), nil
-	}
-
-	// Group the gates by level; PIs (and other non-gates) get their trivial
-	// cut immediately and anchor level 0. Every gate is visited: the reuse
-	// decision needs its fanins' changed flags, final once their level is
-	// done.
+	// Group the gates by level (one past the deepest fanin); PIs (and other
+	// non-gates) get their trivial cut immediately and anchor level 0. Every
+	// gate is visited: the reuse decision needs its fanins' changed flags,
+	// final once their level is done.
 	level := make([]int, numNodes)
 	var byLevel [][]int
 	for _, id := range n.LiveNodes() {
@@ -390,20 +372,30 @@ func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers
 		byLevel[l-1] = append(byLevel[l-1], id)
 	}
 
+	// A level that has work for one worker only runs inline. All inline
+	// levels of the call share one pooled scratch and keep the workers'
+	// cancellation stride.
+	var inline *scratch
+	defer func() {
+		if inline != nil {
+			scratchPool.Put(inline)
+		}
+	}()
 	for _, nodes := range byLevel {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, err
 		}
-		w := workers
-		if w > len(nodes) {
-			w = len(nodes)
-		}
+		w := min(workers, len(nodes))
 		if w <= 1 {
-			sc := scratchPool.Get().(*scratch)
-			for _, id := range nodes {
-				visit(id, sc)
+			if inline == nil {
+				inline = scratchPool.Get().(*scratch)
 			}
-			scratchPool.Put(sc)
+			for i, id := range nodes {
+				if i%ctxCheckStride == 0 && ctx.Err() != nil {
+					return nil, nil, 0, ctx.Err()
+				}
+				visit(id, inline)
+			}
 			continue
 		}
 		var next atomic.Int64

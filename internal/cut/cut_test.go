@@ -249,4 +249,45 @@ func TestEnumerateParallelCancellation(t *testing.T) {
 	if s, err := EnumerateParallel(ctx, n, Params{}, 4); err == nil || s != nil {
 		t.Fatalf("canceled enumeration returned s=%v err=%v", s, err)
 	}
+
+	// One worker runs every level inline. A cancellation inside one wide
+	// level must stop it there instead of after the whole level: 120 gates
+	// over pairs of 16 inputs all sit at level 1, and Rank, called once per
+	// gate (each has a single candidate), counts the gates visited.
+	wide := xag.New()
+	var pis []xag.Lit
+	for i := 0; i < 16; i++ {
+		pis = append(pis, wide.AddPI(""))
+	}
+	gates := 0
+	for i := range pis {
+		for j := i + 1; j < len(pis); j++ {
+			wide.AddPO(wide.And(pis[i], pis[j]), "")
+			gates++
+		}
+	}
+	visited := 0
+	p := Params{Rank: func([]int) int { visited++; return 0 }}
+	s, err := EnumerateParallel(&errAfter{Context: context.Background(), limit: 1}, wide, p, 1)
+	if err == nil || s != nil {
+		t.Fatalf("single-worker enumeration canceled mid-level returned s=%v err=%v", s, err)
+	}
+	if visited >= gates {
+		t.Fatalf("single-worker enumeration visited all %d gates of the canceled level", gates)
+	}
+}
+
+// errAfter is a context whose Err turns to context.Canceled after limit
+// calls, which places a cancellation deterministically inside a walk.
+type errAfter struct {
+	context.Context
+	calls, limit int
+}
+
+func (c *errAfter) Err() error {
+	c.calls++
+	if c.calls > c.limit {
+		return context.Canceled
+	}
+	return nil
 }

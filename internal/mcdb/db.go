@@ -47,7 +47,7 @@ type Stats struct {
 	Incomplete     int // classifications that hit the iteration limit
 	EntryCacheHits int
 	ExactSyntheses int // entries proven MC-optimal
-	BoundedExact   int // entries found by exact search below an aborted proof
+	BoundedExact   int // always 0: every circuit exact search finds is proven minimal
 	DavioFallbacks int // entries built by Davio decomposition
 	Recovered      int // entries admitted from snapshots and journal replay
 	Quarantined    int // persisted records rejected by checksum or validation
@@ -78,7 +78,6 @@ type dbStats struct {
 	incomplete     atomic.Int64
 	entryCacheHits atomic.Int64
 	exactSyntheses atomic.Int64
-	boundedExact   atomic.Int64
 	davioFallbacks atomic.Int64
 	recovered      atomic.Int64
 	quarantined    atomic.Int64
@@ -105,25 +104,27 @@ type key struct {
 // A DB is safe for concurrent use. Classification — the hot path shared by
 // all workers of the parallel rewriting engine — goes through a sharded,
 // mutex-striped cache (see cache.go) and scales with the worker count.
-// Circuit synthesis is serialized behind a single mutex: it is recursive,
-// shares the in-progress set across the recursion, and runs orders of
-// magnitude less often than classification once the entry cache is warm.
+// Circuit synthesis is serialized behind a single mutex: it is recursive
+// and runs orders of magnitude less often than classification once the
+// entry cache is warm.
 type DB struct {
 	opts    Options
 	classes *classCache
 
-	// mu guards entries and building. Synthesis recursion stays inside one
-	// lock acquisition: the exported accessors lock, the *Locked variants
-	// recurse freely.
+	// mu guards entries. Synthesis recursion stays inside one lock
+	// acquisition: the exported accessors lock, the *Locked variants recurse
+	// freely. The recursion never revisits a function it is still building:
+	// each nested entryForLocked builds the representative of a Davio
+	// cofactor, whose support is strictly smaller than that of the function
+	// decomposed above it, so the number of variables falls at every level.
 	//
 	// Each function maps to a small Pareto front of mutually non-dominated
 	// circuits under (MC, AndDepth), sorted by ascending MC (AndDepth and
 	// XorCost breaking ties). The head of the list is the MC-best circuit —
 	// the single entry the pre-Pareto database stored — so MC-model lookups
 	// are unchanged; other models select from the front via EntryForModel.
-	mu       sync.Mutex
-	entries  map[key][]*Entry
-	building map[key]bool // representatives whose synthesis is in progress
+	mu      sync.Mutex
+	entries map[key][]*Entry
 
 	// onNew, when set, observes every entry newly admitted to the database
 	// (synthesized, loaded, or merged). It runs while db.mu is held, so the
@@ -150,10 +151,9 @@ func (db *DB) SetEntryHook(fn func(*Entry)) {
 // New returns an empty database.
 func New(opts Options) *DB {
 	return &DB{
-		opts:     opts.withDefaults(),
-		classes:  newClassCache(),
-		entries:  make(map[key][]*Entry),
-		building: make(map[key]bool),
+		opts:    opts.withDefaults(),
+		classes: newClassCache(),
+		entries: make(map[key][]*Entry),
 	}
 }
 
@@ -168,7 +168,6 @@ func (db *DB) Stats() Stats {
 		Incomplete:     int(db.stats.incomplete.Load()),
 		EntryCacheHits: int(db.stats.entryCacheHits.Load()),
 		ExactSyntheses: int(db.stats.exactSyntheses.Load()),
-		BoundedExact:   int(db.stats.boundedExact.Load()),
 		DavioFallbacks: int(db.stats.davioFallbacks.Load()),
 		Recovered:      int(db.stats.recovered.Load()),
 		Quarantined:    int(db.stats.quarantined.Load()),
@@ -251,22 +250,6 @@ func (db *DB) EntryForModel(repr tt.T, m cost.Model) *Entry {
 	return best
 }
 
-// AddAlternate offers an extra verified circuit for e.F's Pareto front, e.g.
-// a depth-oriented implementation found out of band. It is kept only if no
-// stored circuit dominates it under (MC, AndDepth); dominated incumbents are
-// evicted. Returns true if the entry was stored.
-func (db *DB) AddAlternate(e *Entry) (bool, error) {
-	if err := e.Verify(); err != nil {
-		return false, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	// Materialize the front head first so the MC-best head invariant cannot
-	// be broken by an alternate arriving before the representative circuit.
-	db.entryForLocked(e.F)
-	return db.addEntryLocked(e), nil
-}
-
 // addEntryLocked inserts e into its function's Pareto front under
 // (MC, AndDepth). Ties with an incumbent keep the incumbent — so repeated
 // loads are idempotent and the head stays the first MC-best circuit seen —
@@ -341,9 +324,7 @@ func (db *DB) entryForLocked(f tt.T) *Entry {
 		db.stats.entryCacheHits.Add(1)
 		return list[0]
 	}
-	db.building[k] = true
 	e := db.synthesize(f)
-	delete(db.building, k)
 	if err := e.Verify(); err != nil {
 		panic(err) // internal invariant: every stored entry computes F
 	}
@@ -361,24 +342,7 @@ func (db *DB) andCostLocked(f tt.T) int {
 		return 0
 	}
 	sh, _ := f.Shrink()
-	res := db.Classify(sh)
-	if db.building[keyOf(res.Repr)] {
-		// Cycle through an in-flight representative: fall back to a direct
-		// Davio estimate, which strictly reduces the support.
-		best := 1 << 20
-		for i := 0; i < sh.N; i++ {
-			if !sh.DependsOn(i) {
-				continue
-			}
-			f0 := sh.Cofactor(i, false)
-			g := f0.Xor(sh.Cofactor(i, true))
-			if c := db.andCostLocked(f0) + db.andCostLocked(g) + 1; c < best {
-				best = c
-			}
-		}
-		return best
-	}
-	return db.entryForLocked(res.Repr).MC()
+	return db.entryForLocked(db.Classify(sh).Repr).MC()
 }
 
 // synthesize builds the best circuit the database can find for f.
@@ -429,9 +393,6 @@ func (db *DB) emit(b *builder, f tt.T) uint32 {
 	}
 	sh, from := f.Shrink()
 	res := db.Classify(sh)
-	if db.building[keyOf(res.Repr)] {
-		return db.emitDirect(b, f)
-	}
 	e := db.entryForLocked(res.Repr)
 	if !e.Exact {
 		b.exact = false
@@ -457,14 +418,8 @@ func (db *DB) emitDirect(b *builder, f tt.T) uint32 {
 	for n := sh.N; n > 4; n-- {
 		budget /= 16
 	}
-	e, exact, _ := ExactSearch(sh, db.opts.MaxExactK, budget)
-	if e != nil {
-		if exact {
-			db.stats.exactSyntheses.Add(1)
-		} else {
-			db.stats.boundedExact.Add(1)
-			b.exact = false
-		}
+	if e, _ := ExactSearch(sh, db.opts.MaxExactK, budget); e != nil {
+		db.stats.exactSyntheses.Add(1)
 		return inlineTransformed(b, e, identityTransform(sh.N), from)
 	}
 	b.exact = false

@@ -26,11 +26,11 @@ func TestExactSearchKnownFunctions(t *testing.T) {
 		{"fulladd-sum", tt.New(0x96, 3), 0}, // parity, affine
 	}
 	for _, c := range cases {
-		e, exact, aborted := ExactSearch(c.f, 3, 10_000_000)
+		e, aborted := ExactSearch(c.f, 3, 10_000_000)
 		if e == nil {
 			t.Fatalf("%s: no circuit found (aborted=%v)", c.name, aborted)
 		}
-		if !exact {
+		if !e.Exact {
 			t.Fatalf("%s: result not proven exact", c.name)
 		}
 		if e.MC() != c.mc {
@@ -44,7 +44,7 @@ func TestExactSearchKnownFunctions(t *testing.T) {
 
 func TestExactSearchProvesLowerBounds(t *testing.T) {
 	// and3 = x0x1x2 has MC exactly 2: the k=1 search must exhaust.
-	e, _, aborted := ExactSearch(tt.New(0x80, 3), 1, 10_000_000)
+	e, aborted := ExactSearch(tt.New(0x80, 3), 1, 10_000_000)
 	if e != nil {
 		t.Fatalf("and3 realized with 1 AND: impossible")
 	}
@@ -59,11 +59,11 @@ func TestExactSearchRandom4Var(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
 		f := tt.New(rng.Uint64(), 4)
-		e, exact, _ := ExactSearch(f, 3, 50_000_000)
+		e, _ := ExactSearch(f, 3, 50_000_000)
 		if e == nil {
 			t.Fatalf("f=%s: no circuit within 3 ANDs", f)
 		}
-		if !exact {
+		if !e.Exact {
 			t.Fatalf("f=%s: not proven exact", f)
 		}
 		if e.MC() > 3 {

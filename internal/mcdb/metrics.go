@@ -31,9 +31,6 @@ func (db *DB) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("mcdb_exact_syntheses_total",
 		"Entries proven MC-optimal by exhaustive search.",
 		func() float64 { return float64(db.stats.exactSyntheses.Load()) })
-	r.CounterFunc("mcdb_bounded_exact_syntheses_total",
-		"Entries found by exact search below an aborted optimality proof.",
-		func() float64 { return float64(db.stats.boundedExact.Load()) })
 	r.CounterFunc("mcdb_davio_fallbacks_total",
 		"Entries built by Davio decomposition after exact search gave up.",
 		func() float64 { return float64(db.stats.davioFallbacks.Load()) })

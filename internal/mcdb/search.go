@@ -241,8 +241,10 @@ func (s *searcher) lastGate() bool {
 }
 
 // ExactSearch synthesizes an SLP for f with at most maxK AND steps. It
-// returns the entry (nil if none found within maxK), whether the result is
-// proven minimal, and whether the budget aborted the search.
+// returns the entry (nil if none found within maxK) and whether the budget
+// aborted the search. A returned entry is always proven minimal (Exact): the
+// search gives up at the first aborted level, so every level below the one
+// that succeeded was exhausted.
 //
 // The search starts at the degree lower bound MC(f) ≥ deg(f) − 1 (Boyar,
 // Peralta & Pochuev): levels below it cannot succeed, and a circuit found
@@ -250,31 +252,21 @@ func (s *searcher) lastGate() bool {
 // Random cut functions of five or six variables almost always have full
 // degree, which makes this bound the difference between an instant answer
 // and a budget-devouring exhaustive proof.
-func ExactSearch(f tt.T, maxK, budget int) (entry *Entry, exact, aborted bool) {
-	lb := f.Degree() - 1
-	if lb < 0 {
-		lb = 0
-	}
-	if lb > maxK {
-		return nil, false, false // cannot succeed within maxK; nothing aborted
-	}
-	cleanBelow := true // all levels ≥ lb exhausted without budget aborts
-	for k := lb; k <= maxK; k++ {
+func ExactSearch(f tt.T, maxK, budget int) (entry *Entry, aborted bool) {
+	for k := max(f.Degree()-1, 0); k <= maxK; k++ {
 		s := newSearcher(f, budget)
 		if s.run(k) {
-			e := &Entry{
+			return &Entry{
 				N:     f.N,
 				F:     f,
 				Steps: append([]Step(nil), s.steps...),
 				Out:   s.outMask,
-				Exact: cleanBelow,
-			}
-			return e, cleanBelow, false
+				Exact: true,
+			}, false
 		}
 		if s.abort {
-			cleanBelow = false
-			return nil, false, true
+			return nil, true
 		}
 	}
-	return nil, false, !cleanBelow
+	return nil, false
 }

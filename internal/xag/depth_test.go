@@ -5,47 +5,40 @@ import (
 	"testing"
 )
 
-// naiveDepths recomputes per-node levels and AND depths from scratch, the
+// naiveAndDepths recomputes per-node AND depths from scratch, the
 // reference the incremental tracker must match.
-func naiveDepths(n *Network) (level, andDepth map[int]int) {
-	level = map[int]int{}
-	andDepth = map[int]int{}
+func naiveAndDepths(n *Network) map[int]int {
+	andDepth := map[int]int{}
 	for _, id := range n.LiveNodes() {
 		if !n.IsGate(id) {
 			continue
 		}
 		f0, f1 := n.Fanins(id)
-		level[id] = max(level[f0.Node()], level[f1.Node()]) + 1
 		ad := max(andDepth[f0.Node()], andDepth[f1.Node()])
 		if n.Kind(id) == KindAnd {
 			ad++
 		}
 		andDepth[id] = ad
 	}
-	return level, andDepth
+	return andDepth
 }
 
 func checkDepthsMatch(t *testing.T, n *Network, step string) {
 	t.Helper()
-	level, andDepth := naiveDepths(n)
+	andDepth := naiveAndDepths(n)
 	for _, id := range n.LiveNodes() {
-		if got, want := n.Level(id), level[id]; got != want {
-			t.Fatalf("%s: Level(%d) = %d, recount says %d", step, id, got, want)
-		}
 		if got, want := n.AndDepth(id), andDepth[id]; got != want {
 			t.Fatalf("%s: AndDepth(%d) = %d, recount says %d", step, id, got, want)
 		}
 	}
-	// The network-wide maxima must agree with CountGates' recount.
+	// The network-wide maximum must agree with CountGates' recount.
 	c := n.CountGates()
-	maxL, maxAD := 0, 0
+	maxAD := 0
 	for _, id := range n.LiveNodes() {
-		maxL = max(maxL, n.Level(id))
 		maxAD = max(maxAD, n.AndDepth(id))
 	}
-	if maxL != c.Level || maxAD != c.AndDepth {
-		t.Fatalf("%s: incremental maxima (%d, %d) != CountGates (%d, %d)",
-			step, maxL, maxAD, c.Level, c.AndDepth)
+	if maxAD != c.AndDepth {
+		t.Fatalf("%s: incremental maximum %d != CountGates %d", step, maxAD, c.AndDepth)
 	}
 }
 
@@ -83,7 +76,7 @@ func TestDepthsOnFreshNetwork(t *testing.T) {
 
 // TestIncrementalDepthProperty is the tracker's contract: after any
 // randomized sequence of Substitute and Cleanup operations, incrementally
-// maintained levels match a from-scratch recount on every live node.
+// maintained AND depths match a from-scratch recount on every live node.
 func TestIncrementalDepthProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 8; trial++ {

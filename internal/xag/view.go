@@ -249,16 +249,10 @@ func (n *Network) Clone() *Network {
 		strash:     make(map[strashKey]int, len(n.strash)),
 		repl:       append([]Lit(nil), n.repl...),
 		refs:       append([]int32(nil), n.refs...),
-		level:      append([]int32(nil), n.level...),
 		andDepth:   append([]int32(nil), n.andDepth...),
 		depthStamp: append([]uint32(nil), n.depthStamp...),
 		depthEpoch: n.depthEpoch,
-		dirty: dirtyState{
-			epoch: n.dirty.epoch,
-			base:  n.dirty.base,
-			stamp: append([]uint32(nil), n.dirty.stamp...),
-		},
-		ord: append([]uint64(nil), n.ord...),
+		ord:        append([]uint64(nil), n.ord...),
 	}
 	for id, name := range n.names {
 		out.names[id] = name

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// randomNet builds a random compact XAG over nPIs inputs with roughly
-// nGates gates and a few POs.
-func randomDirtyNet(rng *rand.Rand, nPIs, nGates int) *Network {
+// randomCompactNet builds a random compact XAG over nPIs inputs with
+// roughly nGates gates and a few POs.
+func randomCompactNet(rng *rand.Rand, nPIs, nGates int) *Network {
 	n := New()
 	lits := make([]Lit, 0, nPIs+nGates)
 	for i := 0; i < nPIs; i++ {
@@ -29,42 +29,6 @@ func randomDirtyNet(rng *rand.Rand, nPIs, nGates int) *Network {
 	}
 	n.AddPO(lits[0], "pi0") // keep at least one node live despite folding
 	return n.Cleanup()
-}
-
-func TestDirtyTrackingBasics(t *testing.T) {
-	n := New()
-	a, b, c := n.AddPI("a"), n.AddPI("b"), n.AddPI("c")
-	g1 := n.And(a, b)
-	g2 := n.Xor(g1, c)
-	n.AddPO(g2, "o")
-
-	if n.NodeDirty(g1.Node()) {
-		t.Fatal("dirty before tracking started")
-	}
-	n.BeginDirtyEpoch()
-	if base := n.DirtyCreatedBase(); base != n.NumNodes() {
-		t.Fatalf("created base %d, want %d", base, n.NumNodes())
-	}
-	// New node and a substitution both become dirty.
-	g3 := n.And(a, c)
-	n.Substitute(g1.Node(), g3)
-	if !n.NodeDirty(g3.Node()) {
-		t.Error("created node not dirty")
-	}
-	if !n.NodeDirty(g1.Node()) {
-		t.Error("substituted node not dirty")
-	}
-	if n.NodeDirty(g2.Node()) {
-		t.Error("untouched node reported dirty")
-	}
-	// Next epoch: everything existing is clean again.
-	n2 := n.Cleanup()
-	n2.BeginDirtyEpoch()
-	for id := 0; id < n2.NumNodes(); id++ {
-		if n2.NodeDirty(id) {
-			t.Fatalf("node %d dirty right after BeginDirtyEpoch", id)
-		}
-	}
 }
 
 // evalNode evaluates one node of a network under a PI assignment (bit i of
@@ -98,7 +62,7 @@ func evalNode(n *Network, l Lit, input uint64) bool {
 func TestCleanupMapFunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
-		n := randomDirtyNet(rng, 5, 25)
+		n := randomCompactNet(rng, 5, 25)
 		// Mutate a little so the map is non-trivial.
 		live := n.LiveNodes()
 		for k := 0; k < 3; k++ {
@@ -133,7 +97,7 @@ func TestMFFCScratchMatchesMFFC(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var s ConeScratch
 	for trial := 0; trial < 40; trial++ {
-		n := randomDirtyNet(rng, 6, 50)
+		n := randomCompactNet(rng, 6, 50)
 		live := n.LiveNodes()
 		for k := 0; k < 10; k++ {
 			root := live[rng.Intn(len(live))]
@@ -181,7 +145,7 @@ func TestMFFCScratchAllocs(t *testing.T) {
 // one scratch must not allocate once warmed.
 func TestInTFIScratchMatchesInTFI(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	n := randomDirtyNet(rng, 6, 80)
+	n := randomCompactNet(rng, 6, 80)
 	var s TFIScratch
 	ids := n.LiveNodes()
 	for trial := 0; trial < 300; trial++ {

@@ -105,18 +105,13 @@ type Network struct {
 	repl   []Lit   // forwarding table for substituted nodes; repl[i] defaults to self
 	refs   []int32 // fanout counts on the resolved graph, incl. PO refs
 
-	// Incremental per-node depth tracking (see Level and AndDepth): cached
-	// levels are validated by an epoch stamp, so a depth-changing
-	// Substitute invalidates every cache in O(1) and stale nodes are
-	// recomputed lazily on the next query.
-	level      []int32  // gate depth counting every gate
+	// Incremental per-node AND-depth tracking (see AndDepth): cached depths
+	// are validated by an epoch stamp, so a depth-changing Substitute
+	// invalidates every cache in O(1) and stale nodes are recomputed lazily
+	// on the next query.
 	andDepth   []int32  // gate depth counting only AND gates
-	depthStamp []uint32 // epoch at which level/andDepth were computed
+	depthStamp []uint32 // epoch at which andDepth was computed
 	depthEpoch uint32   // current epoch; starts at 1 so the zero stamp is stale
-
-	// Dirty-region tracking for incremental cross-round rewriting; see
-	// dirty.go. Inactive (epoch 0) until BeginDirtyEpoch.
-	dirty dirtyState
 
 	// Topological labels that let InTFIScratch skip every node too low to
 	// reach its target. Invariant: ord[f] < ord[g] for each resolved fanin
@@ -144,7 +139,6 @@ func (n *Network) addNode(nd node) int {
 	n.nodes = append(n.nodes, nd)
 	n.repl = append(n.repl, MakeLit(id, false))
 	n.refs = append(n.refs, 0)
-	n.level = append(n.level, 0)
 	n.andDepth = append(n.andDepth, 0)
 	stamp := n.depthEpoch // constants and PIs are always at depth 0
 	if nd.kind == KindAnd || nd.kind == KindXor {
@@ -213,6 +207,18 @@ func (n *Network) Fanins(id int) (Lit, Lit) {
 		panic(fmt.Sprintf("xag: node %d (%v) has no fanins", id, nd.kind))
 	}
 	return n.Resolve(nd.fan0), n.Resolve(nd.fan1)
+}
+
+// StoredFanins returns the two fanin literals of a gate node as they were
+// stored when the gate was built, without following substitutions: a stored
+// fanin differs from its resolved one exactly when its node was substituted
+// since the last Cleanup.
+func (n *Network) StoredFanins(id int) (Lit, Lit) {
+	nd := n.nodes[id]
+	if nd.kind != KindAnd && nd.kind != KindXor {
+		panic(fmt.Sprintf("xag: node %d (%v) has no fanins", id, nd.kind))
+	}
+	return nd.fan0, nd.fan1
 }
 
 // Resolve follows the substitution forwarding table, with path compression.
@@ -312,9 +318,8 @@ func (n *Network) lookupOrCreate(kind Kind, a, b Lit) Lit {
 	n.ord[id] = max(n.ord[a.Node()], n.ord[b.Node()]) + 1
 	// Eagerly stamp the new gate's depth when both fanins are current —
 	// always the case on a freshly built network, so construction keeps
-	// every node's Level/AndDepth valid at O(1) per gate.
+	// every node's AndDepth valid at O(1) per gate.
 	if f0, f1 := a.Node(), b.Node(); n.depthCurrent(f0) && n.depthCurrent(f1) {
-		n.level[id] = max(n.level[f0], n.level[f1]) + 1
 		ad := max(n.andDepth[f0], n.andDepth[f1])
 		if kind == KindAnd {
 			ad++
@@ -325,21 +330,21 @@ func (n *Network) lookupOrCreate(kind Kind, a, b Lit) Lit {
 	return MakeLit(id, false)
 }
 
-// depthCurrent reports whether id's cached depths are valid at the current
+// depthCurrent reports whether id's cached depth is valid at the current
 // epoch, refreshing constants and inputs (always depth 0) on the fly.
 func (n *Network) depthCurrent(id int) bool {
 	if n.depthStamp[id] == n.depthEpoch {
 		return true
 	}
 	if !n.IsGate(id) {
-		n.level[id], n.andDepth[id] = 0, 0
+		n.andDepth[id] = 0
 		n.depthStamp[id] = n.depthEpoch
 		return true
 	}
 	return false
 }
 
-// computeDepth fills the level/andDepth caches of id (which must resolve to
+// computeDepth fills the andDepth cache of id (which must resolve to
 // itself) by walking its resolved fanin cone, memoized per epoch.
 func (n *Network) computeDepth(id int) {
 	if n.depthCurrent(id) {
@@ -349,7 +354,6 @@ func (n *Network) computeDepth(id int) {
 	a, b := f0.Node(), f1.Node()
 	n.computeDepth(a)
 	n.computeDepth(b)
-	n.level[id] = max(n.level[a], n.level[b]) + 1
 	ad := max(n.andDepth[a], n.andDepth[b])
 	if n.nodes[id].kind == KindAnd {
 		ad++
@@ -358,29 +362,20 @@ func (n *Network) computeDepth(id int) {
 	n.depthStamp[id] = n.depthEpoch
 }
 
-// Level returns the depth of the node counting every gate (inputs and
-// constants are at level 0). Substituted nodes report the level of their
-// replacement. Values are maintained incrementally: after a depth-changing
-// Substitute the first query per node recomputes its cone, later queries
-// are O(1).
-func (n *Network) Level(id int) int {
-	r := n.Resolve(MakeLit(id, false)).Node()
-	n.computeDepth(r)
-	return int(n.level[r])
-}
-
 // AndDepth returns the multiplicative depth of the node: the largest number
-// of AND gates on any path from an input to it. Substituted nodes report
-// the depth of their replacement. Maintained incrementally like Level.
+// of AND gates on any path from an input to it (inputs and constants are at
+// depth 0). Substituted nodes report the depth of their replacement. Values
+// are maintained incrementally: after a depth-changing Substitute the first
+// query per node recomputes its cone, later queries are O(1).
 func (n *Network) AndDepth(id int) int {
 	r := n.Resolve(MakeLit(id, false)).Node()
 	n.computeDepth(r)
 	return int(n.andDepth[r])
 }
 
-// EnsureDepths validates the level/AndDepth caches of every live node. On a
-// compact network, concurrent readers may afterwards call Level and
-// AndDepth freely: with all stamps current the queries are pure reads.
+// EnsureDepths validates the AndDepth cache of every live node. On a
+// compact network, concurrent readers may afterwards call AndDepth freely:
+// with all stamps current the queries are pure reads.
 func (n *Network) EnsureDepths() {
 	for _, id := range n.LiveNodes() {
 		n.computeDepth(id)
@@ -405,13 +400,11 @@ func (n *Network) Substitute(old int, replacement Lit) {
 	// Depth bookkeeping: redirecting old onto the replacement changes the
 	// depth of every transitive fanout unless the two provably coincide.
 	// The caches are invalidated in O(1) by bumping the epoch; downstream
-	// nodes recompute lazily on their next Level/AndDepth query.
+	// nodes recompute lazily on their next AndDepth query.
 	rid := replacement.Node()
-	if !(n.depthCurrent(old) && n.depthCurrent(rid) &&
-		n.level[old] == n.level[rid] && n.andDepth[old] == n.andDepth[rid]) {
+	if !(n.depthCurrent(old) && n.depthCurrent(rid) && n.andDepth[old] == n.andDepth[rid]) {
 		n.depthEpoch++
 	}
-	n.stampDirty(old)
 	wasLive := n.refs[old] > 0
 	n.repl[old] = replacement
 	n.refs[replacement.Node()] += n.refs[old]
