@@ -11,7 +11,7 @@ func Adder(w int) *xag.Network {
 	b := builder.New()
 	x := b.Input("x", w)
 	y := b.Input("y", w)
-	sum, carry := b.Add(x, y, builder.StyleNaive)
+	sum, carry := b.Add(x, y)
 	b.Output("sum", sum)
 	b.Output("cout", builder.Bus{carry})
 	return b.Net
@@ -52,7 +52,7 @@ func Divisor(w int) *xag.Network {
 	for i := w - 1; i >= 0; i-- {
 		// rem = rem<<1 | num[i]
 		rem = append(builder.Bus{num[i]}, rem[:w]...)
-		diff, noBorrow := b.Sub(rem, den1, builder.StyleNaive)
+		diff, noBorrow := b.Sub(rem, den1)
 		quo[i] = noBorrow
 		rem = b.MuxBusNaive(noBorrow, diff, rem)
 	}
@@ -92,8 +92,8 @@ func Log2(w int) *xag.Network {
 	mant := norm[w-mw:]
 	var fbits builder.Bus
 	for k := 0; k < frac; k++ {
-		sq := b.Mul(mant, mant, builder.StyleNaive) // 2·mw bits, value in [1,4)
-		top := sq[len(sq)-1]                        // ≥ 2 ⇒ fraction bit 1
+		sq := b.Mul(mant, mant) // 2·mw bits, value in [1,4)
+		top := sq[len(sq)-1]    // ≥ 2 ⇒ fraction bit 1
 		fbits = append(builder.Bus{top}, fbits...)
 		// If ≥ 2, renormalize by taking the top mw bits, else the next ones.
 		hi := sq[len(sq)-mw:]
@@ -114,11 +114,11 @@ func Max(w int) *xag.Network {
 	for i := range in {
 		in[i] = b.Input([]string{"a0", "a1", "a2", "a3"}[i], w)
 	}
-	max01 := b.MuxBusNaive(b.LtU(in[0], in[1], builder.StyleNaive), in[1], in[0])
-	idx01 := b.LtU(in[0], in[1], builder.StyleNaive)
-	max23 := b.MuxBusNaive(b.LtU(in[2], in[3], builder.StyleNaive), in[3], in[2])
-	idx23 := b.LtU(in[2], in[3], builder.StyleNaive)
-	sel := b.LtU(max01, max23, builder.StyleNaive)
+	max01 := b.MuxBusNaive(b.LtU(in[0], in[1]), in[1], in[0])
+	idx01 := b.LtU(in[0], in[1])
+	max23 := b.MuxBusNaive(b.LtU(in[2], in[3]), in[3], in[2])
+	idx23 := b.LtU(in[2], in[3])
+	sel := b.LtU(max01, max23)
 	b.Output("max", b.MuxBusNaive(sel, max23, max01))
 	b.Output("idx", builder.Bus{b.Net.Mux(sel, idx23, idx01), sel})
 	return b.Net
@@ -130,7 +130,7 @@ func Multiplier(w int) *xag.Network {
 	b := builder.New()
 	x := b.Input("x", w)
 	y := b.Input("y", w)
-	b.Output("p", b.Mul(x, y, builder.StyleNaive))
+	b.Output("p", b.Mul(x, y))
 	return b.Net
 }
 
@@ -162,12 +162,12 @@ func Sine(w int) *xag.Network {
 		sign := z[ww-1] // rotate clockwise when z is negative
 		xs := b.ShiftRightArith(x, i)
 		ys := b.ShiftRightArith(y, i)
-		xAdd := b.AddMod(x, ys, builder.StyleNaive)
-		xSub, _ := b.Sub(x, ys, builder.StyleNaive)
-		yAdd := b.AddMod(y, xs, builder.StyleNaive)
-		ySub, _ := b.Sub(y, xs, builder.StyleNaive)
-		zAdd := b.AddMod(z, b.Const(at, ww), builder.StyleNaive)
-		zSub, _ := b.Sub(z, b.Const(at, ww), builder.StyleNaive)
+		xAdd := b.AddMod(x, ys)
+		xSub, _ := b.Sub(x, ys)
+		yAdd := b.AddMod(y, xs)
+		ySub, _ := b.Sub(y, xs)
+		zAdd := b.AddMod(z, b.Const(at, ww))
+		zSub, _ := b.Sub(z, b.Const(at, ww))
 		x = b.MuxBusNaive(sign, xAdd, xSub)
 		y = b.MuxBusNaive(sign, ySub, yAdd)
 		z = b.MuxBusNaive(sign, zAdd, zSub)
@@ -213,7 +213,7 @@ func SquareRoot(w int) *xag.Network {
 		rem = append(builder.Bus{x[2*i], x[2*i+1]}, rem[:r-2]...)
 		// Candidate subtrahend: root<<2 | 01.
 		cand := append(builder.Bus{xag.Const1, xag.Const0}, root...)
-		diff, noBorrow := b.Sub(rem, cand, builder.StyleNaive)
+		diff, noBorrow := b.Sub(rem, cand)
 		rem = b.MuxBusNaive(noBorrow, diff, rem)
 		// root = root<<1 | noBorrow.
 		root = append(builder.Bus{noBorrow}, root[:hw-1]...)
@@ -226,6 +226,6 @@ func SquareRoot(w int) *xag.Network {
 func Square(w int) *xag.Network {
 	b := builder.New()
 	x := b.Input("x", w)
-	b.Output("sq", b.Mul(x, x, builder.StyleNaive))
+	b.Output("sq", b.Mul(x, x))
 	return b.Net
 }

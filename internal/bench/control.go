@@ -197,7 +197,7 @@ func IntToFloat() *xag.Network {
 	b := builder.New()
 	x := b.Input("x", w)
 	sign := x[w-1]
-	mag := b.MuxBusNaive(sign, b.Neg(x, builder.StyleNaive), x)
+	mag := b.MuxBusNaive(sign, b.Neg(x), x)
 
 	// Position of the leading one (0 when the magnitude is zero).
 	logw := 4
@@ -209,8 +209,8 @@ func IntToFloat() *xag.Network {
 	}
 	// exponent = clamp(msb − 3, 0..7); values below 3 are subnormal-ish and
 	// map to exponent 0 with the raw low bits as mantissa.
-	small := b.LtU(msb, b.Const(3, logw), builder.StyleNaive)
-	expFull, _ := b.Sub(msb, b.Const(3, logw), builder.StyleNaive)
+	small := b.LtU(msb, b.Const(3, logw))
+	expFull, _ := b.Sub(msb, b.Const(3, logw))
 	exp := b.MuxBusNaive(small, b.Const(0, 3), expFull[:3])
 
 	// mantissa: the three bits below the leading one, obtained by
@@ -252,8 +252,8 @@ func Router(w int) *xag.Network {
 	dir := func(cx, cy builder.Bus) builder.Bus {
 		eqX := b.EqBus(cx, dstX)
 		eqY := b.EqBus(cy, dstY)
-		east := b.LtU(cx, dstX, builder.StyleNaive)
-		north := b.LtU(cy, dstY, builder.StyleNaive)
+		east := b.LtU(cx, dstX)
+		north := b.LtU(cy, dstY)
 		// XY routing: resolve X first, then Y.
 		return builder.Bus{
 			n.And(eqX.Not(), east),                    // E
@@ -267,11 +267,11 @@ func Router(w int) *xag.Network {
 	now := dir(curX, curY)
 	// Lookahead: coordinates after taking the chosen hop.
 	one := b.Const(1, w)
-	nextX := b.MuxBusNaive(now[0], b.AddMod(curX, one, builder.StyleNaive), curX)
-	decX, _ := b.Sub(curX, one, builder.StyleNaive)
+	nextX := b.MuxBusNaive(now[0], b.AddMod(curX, one), curX)
+	decX, _ := b.Sub(curX, one)
 	nextX = b.MuxBusNaive(now[1], decX, nextX)
-	nextY := b.MuxBusNaive(now[2], b.AddMod(curY, one, builder.StyleNaive), curY)
-	decY, _ := b.Sub(curY, one, builder.StyleNaive)
+	nextY := b.MuxBusNaive(now[2], b.AddMod(curY, one), curY)
+	decY, _ := b.Sub(curY, one)
 	nextY = b.MuxBusNaive(now[3], decY, nextY)
 	next := dir(nextX, nextY)
 
@@ -285,8 +285,8 @@ func Router(w int) *xag.Network {
 func Voter(n int) *xag.Network {
 	b := builder.New()
 	in := b.Input("x", n)
-	pc := b.Popcount(in, builder.StyleNaive)
-	maj := b.LtU(b.Const(uint64(n/2), len(pc)), pc, builder.StyleNaive)
+	pc := b.Popcount(in)
+	maj := b.LtU(b.Const(uint64(n/2), len(pc)), pc)
 	b.Output("maj", builder.Bus{maj})
 	return b.Net
 }
@@ -299,13 +299,13 @@ func Comparator(w int, signed, orEqual bool) *xag.Network {
 	var out xag.Lit
 	switch {
 	case signed && orEqual:
-		out = b.LeS(x, y, builder.StyleNaive)
+		out = b.LeS(x, y)
 	case signed:
-		out = b.LtS(x, y, builder.StyleNaive)
+		out = b.LtS(x, y)
 	case orEqual:
-		out = b.LeU(x, y, builder.StyleNaive)
+		out = b.LeU(x, y)
 	default:
-		out = b.LtU(x, y, builder.StyleNaive)
+		out = b.LtU(x, y)
 	}
 	b.Output("cmp", builder.Bus{out})
 	return b.Net

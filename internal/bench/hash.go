@@ -61,7 +61,7 @@ func parity3(b *builder.B, x, y, z builder.Bus) builder.Bus {
 func addW(b *builder.B, xs ...builder.Bus) builder.Bus {
 	acc := xs[0]
 	for _, x := range xs[1:] {
-		acc = b.AddMod(acc, x, builder.StyleNaive)
+		acc = b.AddMod(acc, x)
 	}
 	return acc
 }

@@ -143,7 +143,7 @@ func Speck64() *xag.Network {
 	// encryption, the round counter in the key schedule).
 	round := func(x, y, mix builder.Bus) (builder.Bus, builder.Bus) {
 		x = b.RotateRightConst(x, 8)
-		x = b.AddMod(x, y, builder.StyleNaive)
+		x = b.AddMod(x, y)
 		x = b.XorBus(x, mix)
 		y = b.RotateLeftConst(y, 3)
 		y = b.XorBus(y, x)

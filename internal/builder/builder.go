@@ -18,17 +18,6 @@ import (
 // Bus is a little-endian vector of literals (index 0 = LSB).
 type Bus []xag.Lit
 
-// Style selects the gate-level implementation of the arithmetic primitives.
-type Style int
-
-const (
-	// StyleNaive uses textbook AND-OR logic: the 3-AND full adder
-	// (carry = ab + c(a⊕b) with OR via De Morgan) and the 3-AND mux. This
-	// mirrors the un-optimized netlists of the EPFL benchmarks, leaving the
-	// MC headroom the optimizer is supposed to find.
-	StyleNaive Style = iota
-)
-
 type span struct{ start, width int }
 
 // B accumulates a network under construction.
@@ -173,9 +162,11 @@ func (b *B) MuxBusNaive(s xag.Lit, t, e Bus) Bus {
 	return out
 }
 
-// fullAdder returns (sum, carry) of a+b+c in the given style.
-func (b *B) fullAdder(a, c, cin xag.Lit, style Style) (xag.Lit, xag.Lit) {
-	_ = style // only StyleNaive for now
+// fullAdder returns (sum, carry) of a+b+c in textbook AND-OR logic: the
+// 3-AND full adder, carry = ab + c(a⊕b) with OR via De Morgan. Like
+// MuxNaive, it mirrors the un-optimized netlists of the EPFL benchmarks,
+// leaving the MC headroom the optimizer is supposed to find.
+func (b *B) fullAdder(a, c, cin xag.Lit) (xag.Lit, xag.Lit) {
 	axc := b.Net.Xor(a, c)
 	sum := b.Net.Xor(axc, cin)
 	carry := b.Net.Or(b.Net.And(a, c), b.Net.And(cin, axc))
@@ -184,49 +175,49 @@ func (b *B) fullAdder(a, c, cin xag.Lit, style Style) (xag.Lit, xag.Lit) {
 
 // Add returns the w-bit sum and the carry-out of two equal-width buses
 // (ripple-carry).
-func (b *B) Add(x, y Bus, style Style) (Bus, xag.Lit) {
+func (b *B) Add(x, y Bus) (Bus, xag.Lit) {
 	sameWidth("Add", x, y)
 	sum := make(Bus, len(x))
 	carry := xag.Const0
 	for i := range x {
-		sum[i], carry = b.fullAdder(x[i], y[i], carry, style)
+		sum[i], carry = b.fullAdder(x[i], y[i], carry)
 	}
 	return sum, carry
 }
 
 // AddMod returns the w-bit sum modulo 2^w.
-func (b *B) AddMod(x, y Bus, style Style) Bus {
-	sum, _ := b.Add(x, y, style)
+func (b *B) AddMod(x, y Bus) Bus {
+	sum, _ := b.Add(x, y)
 	return sum
 }
 
 // Sub returns x−y (two's complement, width w) and the no-borrow flag, which
 // is 1 iff x ≥ y (the carry-out of x + ¬y + 1).
-func (b *B) Sub(x, y Bus, style Style) (Bus, xag.Lit) {
+func (b *B) Sub(x, y Bus) (Bus, xag.Lit) {
 	sameWidth("Sub", x, y)
 	diff := make(Bus, len(x))
 	carry := xag.Const1
 	for i := range x {
-		diff[i], carry = b.fullAdder(x[i], y[i].Not(), carry, style)
+		diff[i], carry = b.fullAdder(x[i], y[i].Not(), carry)
 	}
 	return diff, carry
 }
 
 // SubConst returns the constant c minus the bus, modulo 2^w.
 func (b *B) SubConst(c uint64, x Bus) Bus {
-	diff, _ := b.Sub(b.Const(c, len(x)), x, StyleNaive)
+	diff, _ := b.Sub(b.Const(c, len(x)), x)
 	return diff
 }
 
 // Neg returns the two's-complement negation of x.
-func (b *B) Neg(x Bus, style Style) Bus {
-	diff, _ := b.Sub(b.Const(0, len(x)), x, style)
+func (b *B) Neg(x Bus) Bus {
+	diff, _ := b.Sub(b.Const(0, len(x)), x)
 	return diff
 }
 
 // Mul returns the full len(x)+len(y)-bit product (shift-and-add schoolbook
 // multiplier).
-func (b *B) Mul(x, y Bus, style Style) Bus {
+func (b *B) Mul(x, y Bus) Bus {
 	w := len(x) + len(y)
 	acc := b.Const(0, w)
 	for j, yb := range y {
@@ -234,20 +225,20 @@ func (b *B) Mul(x, y Bus, style Style) Bus {
 		for i, xb := range x {
 			partial[i+j] = b.Net.And(xb, yb)
 		}
-		acc = b.AddMod(acc, partial, style)
+		acc = b.AddMod(acc, partial)
 	}
 	return acc
 }
 
 // LtU returns 1 iff x < y (unsigned).
-func (b *B) LtU(x, y Bus, style Style) xag.Lit {
-	_, noBorrow := b.Sub(x, y, style)
+func (b *B) LtU(x, y Bus) xag.Lit {
+	_, noBorrow := b.Sub(x, y)
 	return noBorrow.Not()
 }
 
 // LeU returns 1 iff x ≤ y (unsigned).
-func (b *B) LeU(x, y Bus, style Style) xag.Lit {
-	_, noBorrow := b.Sub(y, x, style)
+func (b *B) LeU(x, y Bus) xag.Lit {
+	_, noBorrow := b.Sub(y, x)
 	return noBorrow
 }
 
@@ -259,13 +250,13 @@ func toUnsignedOrder(x Bus) Bus {
 }
 
 // LtS returns 1 iff x < y as two's-complement signed values.
-func (b *B) LtS(x, y Bus, style Style) xag.Lit {
-	return b.LtU(toUnsignedOrder(x), toUnsignedOrder(y), style)
+func (b *B) LtS(x, y Bus) xag.Lit {
+	return b.LtU(toUnsignedOrder(x), toUnsignedOrder(y))
 }
 
 // LeS returns 1 iff x ≤ y as two's-complement signed values.
-func (b *B) LeS(x, y Bus, style Style) xag.Lit {
-	return b.LeU(toUnsignedOrder(x), toUnsignedOrder(y), style)
+func (b *B) LeS(x, y Bus) xag.Lit {
+	return b.LeU(toUnsignedOrder(x), toUnsignedOrder(y))
 }
 
 func normRot(k, w int) int {
@@ -388,7 +379,7 @@ func (b *B) PriorityEncoder(req Bus) (Bus, xag.Lit) {
 
 // Popcount returns the number of set bits of in as a bus (pairwise adder
 // tree).
-func (b *B) Popcount(in Bus, style Style) Bus {
+func (b *B) Popcount(in Bus) Bus {
 	if len(in) == 0 {
 		return Bus{xag.Const0}
 	}
@@ -404,7 +395,7 @@ func (b *B) Popcount(in Bus, style Style) Bus {
 			if len(y) > w {
 				w = len(y)
 			}
-			sum, carry := b.Add(b.zext(x, w), b.zext(y, w), style)
+			sum, carry := b.Add(b.zext(x, w), b.zext(y, w))
 			next = append(next, append(sum, carry))
 		}
 		if len(level)%2 == 1 {

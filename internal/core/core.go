@@ -120,11 +120,10 @@ type RoundStats struct {
 	Duration     time.Duration
 
 	// Gates is the number of live gates at the start of the round;
-	// Enumerated and Classified count how many of them had their cuts and
-	// classifications computed this round (the rest were reused from the
-	// previous round's seeds). Engine.Round keeps no seeds, so its rounds
-	// have Enumerated == Classified == Gates; later rounds of Minimize
-	// recompute only the dirty region.
+	// Enumerated counts how many of them had their cuts re-merged this
+	// round (the rest adopted the previous round's cut lists). Engine.Round
+	// keeps no seeds, so its rounds have Enumerated == Gates. Every round
+	// classifies every gate: Classified always equals Gates.
 	Gates      int
 	Enumerated int
 	Classified int

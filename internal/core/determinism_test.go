@@ -39,7 +39,7 @@ func TestIncrementalDeterminismLarge(t *testing.T) {
 		for _, m := range models {
 			t.Run(n.name+"/"+m.name, func(t *testing.T) {
 				db := mcdb.New(mcdb.Options{})
-				ref, refRounds := roundReference(t, n.build(), Options{Workers: 1, Cost: m.model, DB: db})
+				ref, refRounds, _ := roundReference(t, n.build(), Options{Workers: 1, Cost: m.model, DB: db})
 				refB := bristol(t, ref)
 				for _, workers := range []int{1, 4} {
 					got := MinimizeMC(n.build(), Options{Workers: workers, Cost: m.model, DB: db})

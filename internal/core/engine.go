@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -52,10 +53,12 @@ type Engine struct {
 	logMu sync.Mutex // serializes Options.Logf calls from workers
 
 	// Commit-stage scratch (the commit loop is single-threaded): reusable
-	// MFFC buffers, a leaf-id buffer, and TFI-walk stamps, so gain
-	// re-validation and the feedback check allocate nothing per candidate.
+	// MFFC buffers, a leaf-id buffer, a leaf-literal buffer, and TFI-walk
+	// stamps, so gain re-validation, realization and the feedback check
+	// allocate nothing per candidate.
 	cone    xag.ConeScratch
 	leafBuf []int
+	litBuf  []xag.Lit
 	tfi     xag.TFIScratch
 }
 
@@ -99,7 +102,7 @@ func (e *Engine) logf(format string, args ...any) {
 // Round keeps no state between calls, so callers may feed it unrelated
 // networks: every call enumerates and classifies every gate. Looping it to
 // convergence is the full-recompute reference that Minimize, with its
-// cross-round seeds, matches byte for byte.
+// cross-round cut seeds, matches byte for byte.
 func (e *Engine) Round(ctx context.Context, net *xag.Network) (*xag.Network, RoundStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -111,28 +114,28 @@ func (e *Engine) Round(ctx context.Context, net *xag.Network) (*xag.Network, Rou
 }
 
 // prepared is the precomputed, network-independent part of one cut's
-// replacement candidate: the cut, its shrunk function and leaves, and the
-// verdict stage 2 reached for that function, which every candidate of the
-// function shares. Gain and leaf liveness are deliberately absent — they
-// depend on the evolving network and are re-validated at commit time.
+// replacement candidate, a flat value: the cut, the leaves its shrunk
+// function depends on, that function, and the verdict stage 2 reached for
+// it, which every candidate of the function shares. Gain and leaf liveness
+// are deliberately absent — they depend on the evolving network and are
+// re-validated at commit time.
 type prepared struct {
-	cut     int       // index into the node's cut list
+	cut     int32     // index into the node's cut list
+	support uint8     // bit i: leaf i of the cut is a variable of want (tt.T.Shrink's mask)
 	want    tt.T      // shrunk cut function (after fault injection)
-	leaves  []xag.Lit // leaf literals of the shrunk support; nil for a constant
 	verdict *memoPrep // a constant or a usable entry, never a skip
 }
 
 // round runs one three-stage pass. When inc is non-nil the round consumes
-// inc's seeds (cut lists and classifications of nodes untouched by the
-// previous round) and refills inc with seeds for the next round; a nil inc
-// is a stateless full round. The committed result is bit-identical either
-// way: seeds are reused only when provably equal to a fresh recomputation.
+// inc's seeds (cut lists of nodes untouched by the previous round) and
+// refills inc with seeds for the next round; a nil inc is a stateless full
+// round. The committed result is bit-identical either way: seeds are reused
+// only when provably equal to a fresh recomputation.
 func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, inc *incState) (*xag.Network, RoundStats, error) {
 	start := time.Now()
 	stats := RoundStats{Before: net.CountGates()}
 	var (
 		cuts   *cut.Set
-		prep   [][]prepared
 		depths []int // round-start depth snapshot (depth-ranked models only)
 		base   int   // node count when the commit stage began
 	)
@@ -140,7 +143,7 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 		out, oldToNew := net.CleanupMap()
 		if inc != nil {
 			if err == nil {
-				e.carryState(inc, net, out, oldToNew, cuts, prep, depths, base)
+				e.carryState(inc, net, out, oldToNew, cuts, depths, base)
 			} else {
 				inc.valid = false // interrupted round: drop the seeds
 			}
@@ -165,18 +168,15 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 		}
 	}
 	var seed *cut.Seed
-	var seedPrep [][]prepared
 	if inc != nil && inc.valid {
 		seed = inc.seed(net, params.Rank != nil)
-		seedPrep = inc.prep
 	}
 
 	var enumerated int
-	var changed []bool
 	var err error
 	stageStart := time.Now()
 	pprof.Do(ctx, pprof.Labels("stage", "enumerate"), func(ctx context.Context) {
-		cuts, changed, enumerated, err = cut.EnumerateIncremental(ctx, net, params, e.opts.Workers, seed)
+		cuts, enumerated, err = cut.EnumerateIncremental(ctx, net, params, e.opts.Workers, seed)
 	})
 	stats.EnumerateTime = time.Since(stageStart)
 	if err != nil {
@@ -190,28 +190,17 @@ func (e *Engine) round(ctx context.Context, net *xag.Network, deg *Degradation, 
 	}
 	stats.Enumerated = enumerated
 
-	// A classification seed survives iff the node's cut list provably did
-	// not change this round (the prepared entries are pure functions of the
-	// list and the immutable per-class database state).
-	var seedOK []bool
-	if seedPrep != nil {
-		seedOK = make([]bool, len(inc.prepOK))
-		for id := range seedOK {
-			seedOK[id] = inc.prepOK[id] && id < len(changed) && !changed[id]
-		}
-	}
-
-	var classified int
+	var prep [][]prepared
 	stageStart = time.Now()
 	pprof.Do(ctx, pprof.Labels("stage", "classify"), func(ctx context.Context) {
-		prep, classified, err = e.classifyStage(ctx, net, order, cuts, seedPrep, seedOK, deg)
+		prep, err = e.classifyStage(ctx, net, order, cuts, deg)
 	})
 	stats.ClassifyTime = time.Since(stageStart)
 	if err != nil {
 		// Canceled before anything was committed: the network is unchanged.
 		return finish(err)
 	}
-	stats.Classified = classified
+	stats.Classified = stats.Gates
 
 	// Every gate with an id at or above base is one the commits built, which
 	// carryState must not carry.
@@ -249,21 +238,11 @@ func (e *Engine) cutParams(net *xag.Network) cut.Params {
 // own cache-warm run of nodes instead of interleaving per node.
 const classifyChunk = 32
 
-// prepKey is the worker-local memo key: a shrunk cut function packed into 9
-// bytes (truth-table word plus variable count). Distinct from tt.T only in
-// layout — the narrower key keeps the per-worker maps compact and their
-// hashing cheap on the classify fast path.
-type prepKey struct {
-	bits uint64
-	n    int8
-}
-
 // memoPrep is one cut function's classification verdict, as the
 // worker-local map caches it and every candidate of the function points at
 // it. Exactly one of three shapes holds: skip (incomplete or invalid — the
 // cut contributes no candidate), constant (sh.N == 0, one of constVerdicts),
-// or a usable entry. A verdict never changes once built, so candidates
-// carried into the next round keep pointing at a valid one.
+// or a usable entry. A verdict never changes once built.
 type memoPrep struct {
 	entry      *mcdb.Entry
 	tr         spectral.Transform
@@ -290,19 +269,16 @@ var constVerdicts = [2]*memoPrep{
 // and engines. Maps are returned cleared; pooling preserves their grown
 // bucket arrays, so warm rounds skip the per-worker map growth entirely.
 var localPrepPool = sync.Pool{
-	New: func() interface{} { return make(map[prepKey]*memoPrep, 4*classifyChunk) },
+	New: func() interface{} { return make(map[tt.T]*memoPrep, 4*classifyChunk) },
 }
 
 // classifyStage runs stage 2: workers pull chunks of node indices from a
-// shared counter, classify every cut function of their nodes against the
-// database, and record the replacement candidates in their node's slot
-// (indexed by node id) of the result slice. Nodes whose seedOK entry is set
-// adopt the previous round's candidates verbatim instead of being
-// reclassified. The returned count is the number of gates not served by such
-// a seed. Workers read only immutable state (the compact network, the cut
-// set, the concurrent database), so no locks are needed beyond the
-// database's own.
-func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []int, cuts *cut.Set, seedPrep [][]prepared, seedOK []bool, deg *Degradation) ([][]prepared, int, error) {
+// shared counter, classify every cut function of every gate of their chunk
+// against the database, and record the replacement candidates in their
+// node's slot (indexed by node id) of the result slice. Workers read only
+// immutable state (the compact network, the cut set, the concurrent
+// database), so no locks are needed beyond the database's own.
+func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []int, cuts *cut.Set, deg *Degradation) ([][]prepared, error) {
 	prep := make([][]prepared, net.NumNodes())
 	workers := e.opts.Workers
 	if workers > len(order) {
@@ -313,11 +289,10 @@ func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []in
 	}
 
 	var (
-		next       atomic.Int64
-		classified atomic.Int64
-		degMu      sync.Mutex
-		wg         sync.WaitGroup
-		canceled   atomic.Bool
+		next     atomic.Int64
+		degMu    sync.Mutex
+		wg       sync.WaitGroup
+		canceled atomic.Bool
 	)
 	work := func() {
 		defer wg.Done()
@@ -330,11 +305,10 @@ func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []in
 		// Worker-local classification cache: repeated cut functions within
 		// this worker's stream are served without touching the database's
 		// striped class cache. Pure traffic amortization — values entering
-		// it are the database's deterministic verdicts. Keyed by the packed
-		// (bits, n) pair and recycled through a pool so steady-state rounds
-		// reuse grown hash buckets instead of re-growing a fresh map per
-		// worker per round.
-		localPrep := localPrepPool.Get().(map[prepKey]*memoPrep)
+		// it are the database's deterministic verdicts. Recycled through a
+		// pool so steady-state rounds reuse grown hash buckets instead of
+		// re-growing a fresh map per worker per round.
+		localPrep := localPrepPool.Get().(map[tt.T]*memoPrep)
 		defer func() {
 			for k := range localPrep {
 				delete(localPrep, k)
@@ -351,15 +325,9 @@ func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []in
 				return
 			}
 			for _, id := range order[base:min(base+classifyChunk, len(order))] {
-				if !net.IsGate(id) {
-					continue
+				if net.IsGate(id) {
+					prep[id] = e.prepareNode(id, cuts.For(id), localPrep, &local)
 				}
-				if seedOK != nil && id < len(seedOK) && seedOK[id] {
-					prep[id] = seedPrep[id]
-					continue
-				}
-				prep[id] = e.prepareNode(id, cuts.For(id), localPrep, &local)
-				classified.Add(1)
 			}
 		}
 	}
@@ -369,17 +337,18 @@ func (e *Engine) classifyStage(ctx context.Context, net *xag.Network, order []in
 	}
 	wg.Wait()
 	if canceled.Load() || ctx.Err() != nil {
-		return nil, 0, ctx.Err()
+		return nil, ctx.Err()
 	}
-	return prep, int(classified.Load()), nil
+	return prep, nil
 }
 
 // prepareNode computes the replacement candidates of one node. The
 // worker-local cache short-circuits the database's striped class cache for
-// functions this worker already resolved. A panic in cut evaluation,
+// functions this worker already resolved. The candidate slice is the node's
+// only allocation once the cache is warm. A panic in cut evaluation,
 // classification, or synthesis is recovered and counted — one poisoned node
 // cannot take down the worker pool.
-func (e *Engine) prepareNode(id int, cuts []cut.Cut, localPrep map[prepKey]*memoPrep, deg *Degradation) (out []prepared) {
+func (e *Engine) prepareNode(id int, cuts []cut.Cut, localPrep map[tt.T]*memoPrep, deg *Degradation) (out []prepared) {
 	defer func() {
 		if r := recover(); r != nil {
 			deg.RecoveredPanics++
@@ -390,35 +359,35 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, localPrep map[prepKey]*memo
 	if len(cuts) > 0 {
 		out = make([]prepared, 0, len(cuts))
 	}
-	// One backing array for every cut's leaf literals: candidates reference
-	// disjoint sub-slices, so the node costs one allocation instead of one
-	// per cut.
-	var leafArena []xag.Lit
 	for ci := range cuts {
 		c := &cuts[ci]
 		if c.Size() < 2 {
 			continue // trivial cut
 		}
 		// Work on the support of the cut function only.
-		sh, from := c.Table.Shrink()
-		// Fault-injection point: tests flip truth-table bits here to prove
-		// the end-of-round miter catches an internally-consistent wrong
-		// rewrite. Fires inside workers; the registry serializes hooks.
-		faultinject.Inject(faultinject.PointCutFunction, &sh)
+		sh, support := c.Table.Shrink()
+		if faultinject.Enabled() {
+			// Fault-injection point: tests flip truth-table bits here to
+			// prove the end-of-round miter catches an internally-consistent
+			// wrong rewrite. Fires inside workers; the registry serializes
+			// hooks. The hook gets a copy, so sh stays off the heap.
+			fi := sh
+			faultinject.Inject(faultinject.PointCutFunction, &fi)
+			sh = fi
+		}
 		if sh.N == 0 {
 			v := constVerdicts[0]
 			if sh.IsConst1() {
 				v = constVerdicts[1]
 			}
-			out = append(out, prepared{cut: ci, verdict: v})
+			out = append(out, prepared{cut: int32(ci), verdict: v})
 			continue
 		}
 
-		lk := prepKey{sh.Bits, int8(sh.N)}
-		mp := localPrep[lk]
+		mp := localPrep[sh]
 		if mp == nil {
 			mp = e.lookup(id, sh)
-			localPrep[lk] = mp
+			localPrep[sh] = mp
 		}
 		// Replay the verdict. Degradation counters stay per-cut (a cached
 		// bad function still counts); only the log line is emitted once per
@@ -431,15 +400,7 @@ func (e *Engine) prepareNode(id int, cuts []cut.Cut, localPrep map[prepKey]*memo
 			deg.InvalidEntries++
 			continue
 		}
-		if leafArena == nil {
-			leafArena = make([]xag.Lit, 0, tt.MaxVars*len(cuts))
-		}
-		base := len(leafArena)
-		for _, origVar := range from {
-			leafArena = append(leafArena, xag.MakeLit(c.Leaf(origVar), false))
-		}
-		leaves := leafArena[base:len(leafArena):len(leafArena)]
-		out = append(out, prepared{cut: ci, want: sh, leaves: leaves, verdict: mp})
+		out = append(out, prepared{cut: int32(ci), support: uint8(support), want: sh, verdict: mp})
 	}
 	return out
 }
@@ -519,7 +480,8 @@ func (e *Engine) commitNode(net *xag.Network, id int, cuts []cut.Cut, prep []pre
 	if best < 0 {
 		return false
 	}
-	return e.applyReplacement(net, id, &prep[best], deg)
+	p := &prep[best]
+	return e.applyReplacement(net, id, &cuts[p.cut], p, deg)
 }
 
 // bestReplacement re-validates the node's prepared candidates against the
@@ -569,12 +531,12 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 			if needsDepth {
 				// The depth the realized root would have, from the entry's
 				// step structure and the current depths of the
-				// (shrunk-support) leaf literals. An upper bound: strashing
-				// may reuse shallower gates.
+				// (shrunk-support) leaves. An upper bound: strashing may
+				// reuse shallower gates.
 				var depths [tt.MaxVars]int
-				leafDepths := depths[:len(p.leaves)]
-				for i, l := range p.leaves {
-					leafDepths[i] = net.AndDepth(l.Node())
+				leafDepths := depths[:0]
+				for s := p.support; s != 0; s &= s - 1 {
+					leafDepths = append(leafDepths, net.AndDepth(c.Leaf(bits.TrailingZeros8(s))))
 				}
 				neu.Depth = mcdb.RealizedAndDepth(v.entry, v.tr, leafDepths)
 			}
@@ -590,21 +552,27 @@ func (e *Engine) bestReplacement(net *xag.Network, id int, cuts []cut.Cut, prep 
 	return best
 }
 
-// applyReplacement realizes and substitutes the chosen candidate. It
-// reports whether the node was substituted. Realization happens even when a
-// later check declines the candidate; the dangling nodes it creates die in
+// applyReplacement realizes and substitutes the chosen candidate p of cut c.
+// It reports whether the node was substituted. Realization happens even when
+// a later check declines the candidate; the dangling nodes it creates die in
 // the end-of-round Cleanup.
-func (e *Engine) applyReplacement(net *xag.Network, id int, p *prepared, deg *Degradation) bool {
+func (e *Engine) applyReplacement(net *xag.Network, id int, c *cut.Cut, p *prepared, deg *Degradation) bool {
 	v := p.verdict
 	if v.constant {
 		net.Substitute(id, v.value)
 		return true
 	}
-	lit := mcdb.Realize(net, v.entry, v.tr, p.leaves)
+	// Variable j of the shrunk function is the leaf at the j-th set bit of
+	// the support mask.
+	e.litBuf = e.litBuf[:0]
+	for s := p.support; s != 0; s &= s - 1 {
+		e.litBuf = append(e.litBuf, xag.MakeLit(c.Leaf(bits.TrailingZeros8(s)), false))
+	}
+	lit := mcdb.Realize(net, v.entry, v.tr, e.litBuf)
 	if net.InTFIScratch(lit, id, &e.tfi) {
 		return false // replacement would feed back into the node's cone
 	}
-	got, bounded := functionOf(net, lit, p.leaves)
+	got, bounded := functionOf(net, lit, e.litBuf)
 	if !bounded {
 		// A structural-hash hit resolved to a node an earlier commit of
 		// this round substituted, and its replacement reaches past the
@@ -644,9 +612,9 @@ func (e *Engine) Minimize(ctx context.Context, n *xag.Network) Result {
 	}
 	degBefore := e.deg
 	// Cross-round seeds, local to this Minimize call: later rounds reuse the
-	// cut lists and classifications of nodes whose cones the previous round
-	// left untouched. Purely a performance feature — see DESIGN.md §10 for
-	// the reuse-validity invariant.
+	// cut lists of nodes whose cones the previous round left untouched.
+	// Purely a performance feature — see DESIGN.md §10 for the reuse-validity
+	// invariant.
 	inc := &incState{}
 	for round := 0; e.opts.MaxRounds == 0 || round < e.opts.MaxRounds; round++ {
 		if err := ctx.Err(); err != nil {

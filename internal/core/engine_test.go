@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/builder"
+	"repro/internal/cut"
 	"repro/internal/mcdb"
+	"repro/internal/tt"
 	"repro/internal/xag"
 )
 
@@ -26,10 +28,10 @@ func md5Style(w int) *xag.Network {
 		for i := 0; i < w; i++ {
 			f[i] = b.MuxNaive(bb[i], c[i], d[i]) // MD5's F as a mux
 		}
-		sum := b.AddMod(a, f, builder.StyleNaive)
-		sum = b.AddMod(sum, b.Const(0xd76aa478&(1<<uint(w)-1), w), builder.StyleNaive)
+		sum := b.AddMod(a, f)
+		sum = b.AddMod(sum, b.Const(0xd76aa478&(1<<uint(w)-1), w))
 		rot := b.RotateLeftConst(sum, 3+round*4)
-		newB := b.AddMod(bb, rot, builder.StyleNaive)
+		newB := b.AddMod(bb, rot)
 		a, bb, c, d = d, newB, bb, c
 	}
 	b.Output("a", a)
@@ -91,8 +93,7 @@ func TestParallelEquivalence(t *testing.T) {
 
 // TestClassCacheHitRate: after the first round the shared classification
 // cache answers most lookups (>50% hit rate on a structure-heavy adder,
-// whose stages all share a handful of classes). Measured on the full path,
-// roundReference, where no seed keeps a gate from the database.
+// whose stages all share a handful of classes).
 func TestClassCacheHitRate(t *testing.T) {
 	db := mcdb.New(mcdb.Options{})
 	roundReference(t, rippleAdder(32), Options{Workers: 4, DB: db})
@@ -177,4 +178,39 @@ func TestEngineDegradationAccumulates(t *testing.T) {
 	if got := eng.Degraded().Total(); got != want {
 		t.Fatalf("engine accumulated %d degradation events, want %d", got, want)
 	}
+}
+
+// TestPrepareNodeAllocs pins the classify stage's allocation profile: once
+// the worker-local map holds a gate's cut functions, preparing the gate
+// costs one allocation, its candidate slice, and nothing per cut.
+func TestPrepareNodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation count not pinned under -race: instrumented builds may move values to the heap")
+	}
+	e := NewEngine(nil, Options{Workers: 1})
+	net := md5Style(8)
+	cuts := cut.Enumerate(net, e.cutParams(net))
+	localPrep := make(map[tt.T]*memoPrep)
+	var deg Degradation
+	for _, id := range net.LiveNodes() {
+		if !net.IsGate(id) {
+			continue
+		}
+		cs := cuts.For(id)
+		entries := 0
+		for _, p := range e.prepareNode(id, cs, localPrep, &deg) {
+			if !p.verdict.constant {
+				entries++
+			}
+		}
+		if entries < 3 {
+			continue
+		}
+		if avg := testing.AllocsPerRun(100, func() { e.prepareNode(id, cs, localPrep, &deg) }); avg != 1 {
+			t.Fatalf("node %d (%d cuts, %d candidates): prepareNode allocates %.1f times, want 1",
+				id, len(cs), entries, avg)
+		}
+		return
+	}
+	t.Fatal("no gate with three usable candidates")
 }

@@ -15,9 +15,10 @@ import (
 // it starts from n.Cleanup() and keeps the output of the final round, the
 // one that did not improve. Round carries no state from one pass to the
 // next, so this is the full-recompute reference that Minimize, with its
-// cross-round seeds, must match byte for byte. It returns the network and
-// the number of rounds run.
-func roundReference(t testing.TB, n *xag.Network, opts Options) (*xag.Network, int) {
+// cross-round cut seeds, must match byte for byte and counter for counter.
+// It returns the network, the number of rounds run, and the engine's
+// degradation counters.
+func roundReference(t testing.TB, n *xag.Network, opts Options) (*xag.Network, int, Degradation) {
 	t.Helper()
 	eng := NewEngine(opts.DB, opts)
 	net := n.Cleanup()
@@ -28,7 +29,7 @@ func roundReference(t testing.TB, n *xag.Network, opts Options) (*xag.Network, i
 		}
 		net = out
 		if !eng.opts.Cost.Improved(st.Before, st.After) {
-			return net, rounds
+			return net, rounds, eng.Degraded()
 		}
 	}
 }
@@ -84,7 +85,8 @@ func fuzzNetwork(data []byte) *xag.Network {
 //   - the output is equivalent to the input, checked exhaustively;
 //   - under mc, the AND count never rises;
 //   - the Bristol bytes are equal across worker counts;
-//   - the Bristol bytes equal those of roundReference on the same database.
+//   - the Bristol bytes and the degradation counters equal those of
+//     roundReference on the same database.
 func FuzzOptimize(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 1, 0, 1, 0, 2, 3})
 	// Full adder: a⊕b⊕c and maj(a, b, c) built from three ANDs.
@@ -114,6 +116,7 @@ func FuzzOptimize(f *testing.F) {
 		for _, m := range models {
 			db := mcdb.New(mcdb.Options{})
 			var want []byte
+			degraded := map[int]Degradation{}
 			for _, workers := range []int{1, 4} {
 				res := MinimizeMC(in, Options{Cost: m.model, Workers: workers, DB: db})
 				if res.Err != nil {
@@ -126,6 +129,7 @@ func FuzzOptimize(f *testing.F) {
 					t.Fatalf("%s/workers=%d: AND count rose from %d to %d",
 						m.name, workers, res.Initial().And, res.Final().And)
 				}
+				degraded[workers] = res.Degraded
 				got := bristol(t, res.Network)
 				if want == nil {
 					want = got
@@ -133,9 +137,15 @@ func FuzzOptimize(f *testing.F) {
 					t.Fatalf("%s: workers=%d output differs from workers=1", m.name, workers)
 				}
 			}
-			ref, _ := roundReference(t, in, Options{Cost: m.model, Workers: 1, DB: db})
+			ref, _, refDeg := roundReference(t, in, Options{Cost: m.model, Workers: 1, DB: db})
 			if !bytes.Equal(bristol(t, ref), want) {
 				t.Fatalf("%s: Minimize output differs from the Engine.Round reference", m.name)
+			}
+			for workers, d := range degraded {
+				if d != refDeg {
+					t.Fatalf("%s/workers=%d: Minimize degradation %+v, Engine.Round reference %+v",
+						m.name, workers, d, refDeg)
+				}
 			}
 		}
 	})

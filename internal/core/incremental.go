@@ -8,20 +8,18 @@ import (
 )
 
 // incState carries per-node facts from one Minimize round into the next:
-// candidate cut lists and prepared classifications of nodes the previous
-// round's commits left locally untouched, plus the leaf-validity data the
-// next round needs to decide which seeds are provably reusable. It is a
-// pure cache — a seed is consumed only when reusing it is proven identical
-// to recomputing it (DESIGN.md §10), so seeded rounds commit bit-identical
-// networks. Invalidated (valid=false) after an interrupted or rolled-back
-// round; the next round then runs the full pipeline and refills it.
+// the cut lists of nodes the previous round's commits left locally
+// untouched, plus the leaf-validity data the next round needs to decide
+// which seeds are provably reusable. It is a pure cache — a seed is
+// consumed only when reusing it is proven identical to recomputing it
+// (DESIGN.md §10), so seeded rounds commit bit-identical networks.
+// Invalidated (valid=false) after an interrupted or rolled-back round; the
+// next round then runs the full pipeline and refills it.
 type incState struct {
 	valid  bool
-	cuts   *cut.Set     // seed cut lists, indexed by next round's node ids
-	prep   [][]prepared // seed classifications, same indexing
-	prepOK []bool       // prepOK[id]: prep seed present for id
-	leafOK []bool       // leafOK[id]: id's renumbering was order-preserving
-	depth  []int        // round-start depth by new id (-1 absent); nil unless ranked
+	cuts   *cut.Set // seed cut lists, indexed by next round's node ids
+	leafOK []bool   // leafOK[id]: id's renumbering was order-preserving
+	depth  []int    // round-start depth by new id (-1 absent); nil unless ranked
 }
 
 // seed returns the cut seed for net, the network the carried lists were
@@ -42,11 +40,10 @@ func (inc *incState) seed(net *xag.Network, ranked bool) *cut.Seed {
 // carryState distills the finished round into seeds for the next one.
 //
 // old is the pre-Cleanup network after the commit stage, out its compacted
-// image, m the old→new literal map from CleanupMap, cuts/prep the round's
-// enumeration and classification results (indexed by old ids), depths the
-// round-start depth snapshot (nil for models without depth ranking), and
-// base the node count when the commit stage began: every id at or above it
-// is a gate the commits built.
+// image, m the old→new literal map from CleanupMap, cuts the round's
+// enumeration (indexed by old ids), depths the round-start depth snapshot
+// (nil for models without depth ranking), and base the node count when the
+// commit stage began: every id at or above it is a gate the commits built.
 //
 // A gate's cut list is carried only when it can still describe the same
 // structure in out:
@@ -68,10 +65,7 @@ func (inc *incState) seed(net *xag.Network, ranked bool) *cut.Seed {
 // images of a whole XOR cone above it without changing its structure.
 // TransformLeaves rewrites the tables for the flipped polarities (each
 // carried table is the image node's function over the image leaves), which
-// keeps the cut seeds valid. Classification seeds cannot cross a polarity
-// flip — their truth tables, transforms, and XOR costs are tied to the
-// exact unflipped functions — so prep is carried only for fully
-// uncomplemented gates.
+// keeps the cut seeds valid.
 //
 // Whether a carried seed may then be consumed without recomputation is the
 // next round's decision (cut.EnumerateIncremental): it requires the fanin
@@ -81,13 +75,13 @@ func (inc *incState) seed(net *xag.Network, ranked bool) *cut.Seed {
 // prune tie-breaks, and subsumption come out the same) — plus, for ranked
 // runs, an unchanged depth. Seeds that fail are simply recomputed and
 // compared, which costs time, never correctness.
-func (e *Engine) carryState(inc *incState, old, out *xag.Network, m []xag.Lit, cuts *cut.Set, prep [][]prepared, depths []int, base int) {
+func (e *Engine) carryState(inc *incState, old, out *xag.Network, m []xag.Lit, cuts *cut.Set, depths []int, base int) {
 	inc.valid = false
-	inc.cuts, inc.prep, inc.prepOK, inc.leafOK, inc.depth = nil, nil, nil, nil, nil
+	inc.cuts, inc.leafOK, inc.depth = nil, nil, nil
 	defer func() {
 		if r := recover(); r != nil {
 			inc.valid = false
-			inc.cuts, inc.prep, inc.prepOK, inc.leafOK, inc.depth = nil, nil, nil, nil, nil
+			inc.cuts, inc.leafOK, inc.depth = nil, nil, nil
 			e.logf("core: incremental reuse disabled this round after panic: %v", r)
 		}
 	}()
@@ -158,8 +152,6 @@ func (e *Engine) carryState(inc *incState, old, out *xag.Network, m []xag.Lit, c
 	}
 
 	slots := make([][]cut.Cut, numNew)
-	nextPrep := make([][]prepared, numNew)
-	prepOK := make([]bool, numNew)
 	poisoned := make([]bool, numNew)
 	for _, id := range old.LiveNodes() {
 		if !old.IsGate(id) {
@@ -201,57 +193,41 @@ func (e *Engine) carryState(inc *incState, old, out *xag.Network, m []xag.Lit, c
 		// would be ambiguous — drop it entirely (vanishingly rare: it takes
 		// distinct old structures whose images strash-fold together).
 		if poisoned[nid] || slots[nid] != nil {
-			slots[nid], nextPrep[nid], prepOK[nid] = nil, nil, false
+			slots[nid] = nil
 			poisoned[nid] = true
 			continue
 		}
 		cs := cuts.For(id)
-		renumberable := true
-		flipped := img.Compl()
-		for ci := range cs {
-			c := &cs[ci]
-			for k := 0; k < c.Size(); k++ {
-				l := c.Leaf(k)
-				if imgNode[l] < 0 {
-					renumberable = false
-					break
-				}
-				if m[l].Compl() {
-					flipped = true
-				}
-			}
-			if !renumberable {
-				break
-			}
-		}
-		if !renumberable {
+		if !renumberable(cs, imgNode) {
 			continue // a cut leaf died in Cleanup: the list cannot carry over
 		}
 
-		// Renumber the cached facts in place into the new id space, flipping
-		// table polarities where Cleanup complemented an image. Leaf order
-		// inside a cut — and hence the variable alignment — is preserved
-		// whenever the next round actually consumes the seed (leafOK guards
-		// it); a garbled list merely fails that round's equality check and
-		// is recomputed.
+		// Renumber the list in place into the new id space, flipping table
+		// polarities where Cleanup complemented an image. Leaf order inside
+		// a cut — and hence the variable alignment — is preserved whenever
+		// the next round actually consumes the seed (leafOK guards it); a
+		// garbled list merely fails that round's equality check and is
+		// recomputed.
 		cut.TransformLeaves(cs, func(l int) (int, bool) { return int(imgNode[l]), m[l].Compl() }, img.Compl())
 		slots[nid] = cs
-		if !flipped {
-			pp := prep[id]
-			for pi := range pp {
-				for li, l := range pp[pi].leaves {
-					pp[pi].leaves[li] = xag.MakeLit(int(imgNode[l.Node()]), l.Compl())
-				}
-			}
-			nextPrep[nid] = pp
-			prepOK[nid] = true
-		}
 	}
 
 	inc.cuts = cut.NewSetFrom(slots)
-	inc.prep = nextPrep
-	inc.prepOK = prepOK
 	inc.leafOK = leafOK
 	inc.depth = seedDepth
 	inc.valid = true
+}
+
+// renumberable reports whether every leaf of every cut in cs kept a node
+// image across Cleanup.
+func renumberable(cs []cut.Cut, imgNode []int32) bool {
+	for ci := range cs {
+		c := &cs[ci]
+		for k := 0; k < c.Size(); k++ {
+			if imgNode[c.Leaf(k)] < 0 {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/cut"
+	"repro/internal/mcdb"
 	"repro/internal/xag"
 )
 
@@ -29,7 +30,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	}
 	for name, build := range nets {
 		for mName, model := range models {
-			ref, refRounds := roundReference(t, build(), Options{Workers: 1, Cost: model})
+			ref, refRounds, _ := roundReference(t, build(), Options{Workers: 1, Cost: model})
 			refB := bristol(t, ref)
 			for _, workers := range []int{1, 4} {
 				got := MinimizeMC(build(), Options{Workers: workers, Cost: model})
@@ -56,7 +57,7 @@ func TestIncrementalMatchesFullRandom(t *testing.T) {
 		build := func() *xag.Network {
 			return randomNetwork(rand.New(rand.NewSource(seed)), 8, 150)
 		}
-		ref, _ := roundReference(t, build(), Options{Workers: 1})
+		ref, _, _ := roundReference(t, build(), Options{Workers: 1})
 		refB := bristol(t, ref)
 		for _, workers := range []int{1, 4} {
 			got := MinimizeMC(build(), Options{Workers: workers})
@@ -70,14 +71,13 @@ func TestIncrementalMatchesFullRandom(t *testing.T) {
 	}
 }
 
-// TestIncrementalReuseRate: on an adder, every round after the first adopts
-// some of last round's classifications outright (clean cones keep their
-// candidates), and re-enumeration falls well below a full pass once the
-// network goes quiet. An adder is a single carry chain, so every active
-// round's replacements span the whole id range and their dead MFFC
-// interiors invalidate most deep cuts above them — measured churn on this
-// circuit is 60–85% in active rounds and <50% only in quiet ones (see
-// DESIGN.md §10 for the analysis).
+// TestIncrementalReuseRate: on an adder, every round classifies every gate
+// (only cut lists are carried across rounds), and re-enumeration falls well
+// below a full pass once the network goes quiet. An adder is a single carry
+// chain, so every active round's replacements span the whole id range and
+// their dead MFFC interiors invalidate most deep cuts above them — measured
+// churn on this circuit is 60–85% in active rounds and <50% only in quiet
+// ones (see DESIGN.md §10 for the analysis).
 func TestIncrementalReuseRate(t *testing.T) {
 	res := MinimizeMC(rippleAdder(64), Options{Workers: 4})
 	if res.Err != nil {
@@ -90,13 +90,13 @@ func TestIncrementalReuseRate(t *testing.T) {
 	for i, r := range res.Rounds {
 		t.Logf("round %d: gates=%d enumerated=%d classified=%d replacements=%d",
 			i+1, r.Gates, r.Enumerated, r.Classified, r.Replacements)
+		if r.Classified != r.Gates {
+			t.Errorf("round %d classified %d of %d gates, want all", i+1, r.Classified, r.Gates)
+		}
 		if i == 0 {
 			if r.Enumerated != r.Gates {
 				t.Fatalf("round 1 must enumerate everything: enumerated=%d gates=%d",
 					r.Enumerated, r.Gates)
-			}
-			if r.Classified > r.Gates {
-				t.Fatalf("round 1 classified %d of %d gates", r.Classified, r.Gates)
 			}
 			continue
 		}
@@ -104,9 +104,6 @@ func TestIncrementalReuseRate(t *testing.T) {
 		reGates += r.Gates
 		if r.Enumerated > r.Gates {
 			t.Errorf("round %d re-enumerated %d of %d gates", i+1, r.Enumerated, r.Gates)
-		}
-		if r.Classified >= r.Gates {
-			t.Errorf("round %d re-classified all %d gates, want some served by seeds", i+1, r.Gates)
 		}
 	}
 	// Across all rounds after the first, a meaningful share of enumeration
@@ -160,18 +157,45 @@ func TestIncrementalWithVerifyRollback(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	ref, _ := roundReference(t, md5Style(8), Options{Workers: 2})
+	ref, _, _ := roundReference(t, md5Style(8), Options{Workers: 2})
 	if !bytes.Equal(bristol(t, res.Network), bristol(t, ref)) {
 		t.Fatal("verified run differs from the Engine.Round reference")
 	}
 }
 
+// TestIncrementalDegradationMatchesRoundLoop: Minimize classifies every
+// gate in every round, as a loop of Engine.Round does, so both report the
+// same degradation counters. md5Style(8) skips incomplete classifications
+// under both models, so the comparison is not vacuous. The two runs share a
+// database: the counters replay deterministic verdicts, so the loop's warm
+// cache changes only its speed.
+func TestIncrementalDegradationMatchesRoundLoop(t *testing.T) {
+	for _, m := range []struct {
+		name  string
+		model Cost
+	}{{"mc", cost.MC()}, {"depth", cost.Depth()}} {
+		opts := Options{Workers: 2, Cost: m.model, DB: mcdb.New(mcdb.Options{})}
+		got := MinimizeMC(md5Style(8), opts)
+		if got.Err != nil {
+			t.Fatal(got.Err)
+		}
+		_, _, want := roundReference(t, md5Style(8), opts)
+		t.Logf("%s: Minimize %+v, Round loop %+v", m.name, got.Degraded, want)
+		if want.IncompleteClassifications == 0 {
+			t.Fatalf("%s: no incomplete classifications to compare", m.name)
+		}
+		if got.Degraded != want {
+			t.Errorf("%s: Minimize degradation %+v, Round loop %+v", m.name, got.Degraded, want)
+		}
+	}
+}
+
 // TestRoundStatsAccounting: Enumerated + seeded slots cover all gates in
-// every round.
+// every round, and every gate is classified.
 func TestRoundStatsAccounting(t *testing.T) {
 	res := MinimizeMC(rippleAdder(24), Options{Workers: 1})
 	for i, r := range res.Rounds {
-		if r.Enumerated < 0 || r.Enumerated > r.Gates || r.Classified > r.Gates {
+		if r.Enumerated < 0 || r.Enumerated > r.Gates || r.Classified != r.Gates {
 			t.Fatalf("round %d: implausible stats %+v", i+1, r)
 		}
 	}
@@ -211,14 +235,13 @@ func TestIncrementalDropsGateWithSubstitutedFanin(t *testing.T) {
 	for id := range depths {
 		depths[id] = net.AndDepth(id)
 	}
-	prep := make([][]prepared, net.NumNodes())
 
 	// What a commit does: replace a by t, then the end-of-round Cleanup.
 	base := net.NumNodes()
 	net.Substitute(al.Node(), tl)
 	out, m := net.CleanupMap()
 	inc := &incState{}
-	e.carryState(inc, net, out, m, cuts, prep, depths, base)
+	e.carryState(inc, net, out, m, cuts, depths, base)
 	if !inc.valid {
 		t.Fatal("carryState dropped every seed")
 	}
@@ -227,7 +250,7 @@ func TestIncrementalDropsGateWithSubstitutedFanin(t *testing.T) {
 	}
 
 	params = e.cutParams(out)
-	got, _, _, err := cut.EnumerateIncremental(context.Background(), out, params, 1, inc.seed(out, true))
+	got, _, err := cut.EnumerateIncremental(context.Background(), out, params, 1, inc.seed(out, true))
 	if err != nil {
 		t.Fatal(err)
 	}

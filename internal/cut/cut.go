@@ -275,7 +275,7 @@ func nodeCuts(n *xag.Network, id int, byID [][]Cut, p Params, sc *scratch) []Cut
 // its own node's slot. The result is identical to Enumerate for any worker
 // count: each node's cut list is a pure function of its fanin cut lists.
 func EnumerateParallel(ctx context.Context, n *xag.Network, p Params, workers int) (*Set, error) {
-	s, _, _, err := EnumerateIncremental(ctx, n, p, workers, nil)
+	s, _, err := EnumerateIncremental(ctx, n, p, workers, nil)
 	return s, err
 }
 
@@ -313,10 +313,9 @@ type Seed struct {
 // never change. Within that precondition an out-of-date seed costs a
 // re-merge, never a wrong cut.
 //
-// Returns the cut set, a per-node changed flag (true when the node's final
-// list is not known to equal its seed — always true for unseeded gates), and
-// the number of gates actually re-merged. A nil seed re-merges every gate.
-func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers int, seed *Seed) (*Set, []bool, int, error) {
+// Returns the cut set and the number of gates actually re-merged. A nil seed
+// re-merges every gate.
+func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers int, seed *Seed) (*Set, int, error) {
 	var seedSlots [][]Cut
 	var leafOK []bool
 	if seed != nil {
@@ -328,6 +327,8 @@ func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers
 	p = p.withDefaults()
 	numNodes := n.NumNodes()
 	res := &Set{byID: make([][]Cut, numNodes)}
+	// changed[id]: id's final list is not known to equal its seed (always
+	// true for unseeded gates).
 	changed := make([]bool, numNodes)
 	var computed int64
 
@@ -383,7 +384,7 @@ func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers
 	}()
 	for _, nodes := range byLevel {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		w := min(workers, len(nodes))
 		if w <= 1 {
@@ -392,7 +393,7 @@ func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers
 			}
 			for i, id := range nodes {
 				if i%ctxCheckStride == 0 && ctx.Err() != nil {
-					return nil, nil, 0, ctx.Err()
+					return nil, 0, ctx.Err()
 				}
 				visit(id, inline)
 			}
@@ -421,9 +422,9 @@ func EnumerateIncremental(ctx context.Context, n *xag.Network, p Params, workers
 		wg.Wait()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	return res, changed, int(computed), nil
+	return res, int(computed), nil
 }
 
 // equalCuts reports whether two cut lists are identical (same cuts, same

@@ -83,25 +83,20 @@ func corrupted(cs []Cut) []Cut {
 	return out
 }
 
-// A nil seed re-merges every gate, marks every gate changed, and reproduces
-// the plain enumeration exactly, for any worker count.
+// A nil seed re-merges every gate and reproduces the plain enumeration
+// exactly, for any worker count.
 func TestEnumerateIncrementalNilSeedMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		n := randomReuseNet(rng, 6, 60)
 		want := Enumerate(n, Params{})
 		for _, workers := range []int{1, 2, 8} {
-			got, changed, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, nil)
+			got, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if gates := countGates(n); computed != gates {
 				t.Fatalf("workers=%d: re-merged %d gates, want %d", workers, computed, gates)
-			}
-			for _, id := range n.LiveNodes() {
-				if n.IsGate(id) && !changed[id] {
-					t.Fatalf("workers=%d: unseeded gate %d not marked changed", workers, id)
-				}
 			}
 			sameSets(t, n, got, want, "nil seed")
 		}
@@ -109,7 +104,7 @@ func TestEnumerateIncrementalNilSeedMatches(t *testing.T) {
 }
 
 // Seeding every gate with its own list, with every leaf valid, re-merges
-// nothing and changes nothing.
+// nothing.
 func TestEnumerateIncrementalSelfSeedReusesEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
@@ -123,17 +118,12 @@ func TestEnumerateIncrementalSelfSeedReusesEverything(t *testing.T) {
 		}
 		seed := &Seed{Cuts: NewSetFrom(slots), LeafOK: allLeavesOK(n)}
 		for _, workers := range []int{1, 4} {
-			got, changed, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
+			got, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if computed != 0 {
 				t.Fatalf("workers=%d: re-merged %d gates, want 0", workers, computed)
-			}
-			for id, c := range changed {
-				if c {
-					t.Fatalf("workers=%d: node %d marked changed", workers, id)
-				}
 			}
 			sameSets(t, n, got, want, "self seed")
 		}
@@ -167,17 +157,12 @@ func TestEnumerateIncrementalSeededSubsetMatches(t *testing.T) {
 		}
 		seed := &Seed{Cuts: NewSetFrom(slots), LeafOK: allLeavesOK(n)}
 		for _, workers := range []int{1, 4} {
-			got, changed, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
+			got, computed, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := countGates(n) - adopted; computed != want {
 				t.Fatalf("workers=%d: re-merged %d gates, want %d", workers, computed, want)
-			}
-			for _, id := range n.LiveNodes() {
-				if n.IsGate(id) && changed[id] != (slots[id] == nil) {
-					t.Fatalf("workers=%d: gate %d changed=%v, seeded=%v", workers, id, changed[id], slots[id] != nil)
-				}
 			}
 			sameSets(t, n, got, want, "seeded subset")
 		}
@@ -186,7 +171,8 @@ func TestEnumerateIncrementalSeededSubsetMatches(t *testing.T) {
 
 // A seeded gate is re-merged, and its wrong seed replaced by the true list,
 // when a fanin's list was re-merged this call or a leaf of a fanin list
-// fails LeafOK.
+// fails LeafOK. Every seed but the victim's is right, so an adopted wrong
+// seed shows as a difference from the plain enumeration.
 func TestEnumerateIncrementalRemergesInvalidatedSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 10; trial++ {
@@ -227,12 +213,9 @@ func TestEnumerateIncrementalRemergesInvalidatedSeed(t *testing.T) {
 			tc.prepare(slots, leafOK)
 			seed := &Seed{Cuts: NewSetFrom(slots), LeafOK: leafOK}
 			for _, workers := range []int{1, 4} {
-				got, changed, _, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
+				got, _, err := EnumerateIncremental(context.Background(), n, Params{}, workers, seed)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if !changed[victim] {
-					t.Fatalf("%s, workers=%d: wrong seed of gate %d adopted", tc.name, workers, victim)
 				}
 				sameSets(t, n, got, want, tc.name)
 			}

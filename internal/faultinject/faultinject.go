@@ -6,7 +6,10 @@
 // reports a structured error — never a functionally wrong network.
 //
 // With no hooks installed, Inject is a single atomic load and adds no
-// measurable overhead, so the instrumentation stays in release builds.
+// measurable overhead, so the instrumentation stays in release builds. A
+// hot path whose payload would otherwise escape to the heap (Inject takes
+// it as an interface) checks Enabled first and injects into a copy only
+// when a hook may run.
 //
 // The registry is safe for concurrent Set/Clear/Inject. Hooks run under the
 // registry lock, so a hook installed from a test needs no synchronization of
@@ -122,11 +125,14 @@ func Fired(point string) int {
 	return fired[point]
 }
 
+// Enabled reports whether any hook is installed. It is one atomic load.
+func Enabled() bool { return active.Load() != 0 }
+
 // Inject runs the hook installed at point, if any, passing it the payload.
 // Instrumented code calls this at interesting places; with no hooks
 // installed it returns after one atomic load.
 func Inject(point string, payload any) {
-	if active.Load() == 0 {
+	if !Enabled() {
 		return
 	}
 	mu.Lock()

@@ -16,7 +16,13 @@ func TestInjectWithoutHooksIsNoop(t *testing.T) {
 func TestSetInjectClear(t *testing.T) {
 	t.Cleanup(Reset)
 	got := 0
+	if Enabled() {
+		t.Fatal("Enabled with no hook installed")
+	}
 	Set("p", func(payload any) { got = payload.(int) })
+	if !Enabled() {
+		t.Fatal("not Enabled with a hook installed")
+	}
 	Inject("p", 42)
 	if got != 42 {
 		t.Fatalf("hook saw %d, want 42", got)
@@ -26,8 +32,8 @@ func TestSetInjectClear(t *testing.T) {
 	}
 	Clear("p")
 	Inject("p", 7)
-	if got != 42 || Fired("p") != 1 {
-		t.Fatal("hook ran after Clear")
+	if got != 42 || Fired("p") != 1 || Enabled() {
+		t.Fatal("hook ran or stayed enabled after Clear")
 	}
 	Clear("p") // double clear is fine
 }

@@ -80,7 +80,7 @@ func (v classVal) result() spectral.Result {
 
 type classShard struct {
 	mu sync.RWMutex
-	m  map[key]classVal
+	m  map[tt.T]classVal
 }
 
 type classCache struct {
@@ -90,22 +90,22 @@ type classCache struct {
 func newClassCache() *classCache {
 	c := &classCache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[key]classVal)
+		c.shards[i].m = make(map[tt.T]classVal)
 	}
 	return c
 }
 
 // shardOf mixes the truth-table bits so consecutive functions spread across
 // stripes (Fibonacci hashing on the raw bits plus the variable count).
-func (c *classCache) shardOf(k key) *classShard {
-	h := (k.bits ^ uint64(k.n)<<57) * 0x9e3779b97f4a7c15
+func (c *classCache) shardOf(f tt.T) *classShard {
+	h := (f.Bits ^ uint64(f.N)<<57) * 0x9e3779b97f4a7c15
 	return &c.shards[h>>58&(classShardCount-1)]
 }
 
-func (c *classCache) get(k key) (spectral.Result, bool) {
-	s := c.shardOf(k)
+func (c *classCache) get(f tt.T) (spectral.Result, bool) {
+	s := c.shardOf(f)
 	s.mu.RLock()
-	v, ok := s.m[k]
+	v, ok := s.m[f]
 	s.mu.RUnlock()
 	if !ok {
 		return spectral.Result{}, false
@@ -113,17 +113,17 @@ func (c *classCache) get(k key) (spectral.Result, bool) {
 	return v.result(), true
 }
 
-// put inserts res under k unless another goroutine got there first, and
+// put inserts res under f unless another goroutine got there first, and
 // returns the canonical value plus whether this call was the one that
 // inserted it.
-func (c *classCache) put(k key, res spectral.Result) (spectral.Result, bool) {
-	s := c.shardOf(k)
+func (c *classCache) put(f tt.T, res spectral.Result) (spectral.Result, bool) {
+	s := c.shardOf(f)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.m[k]; ok {
+	if prev, ok := s.m[f]; ok {
 		return prev.result(), false
 	}
-	s.m[k] = packClass(res)
+	s.m[f] = packClass(res)
 	return res, true
 }
 

@@ -80,7 +80,7 @@ func TestClassCacheConcurrentLookups(t *testing.T) {
 // a single stable value.
 func TestClassCacheFirstInsertWins(t *testing.T) {
 	c := newClassCache()
-	k := key{bits: 0xe8, n: 3}
+	k := tt.T{Bits: 0xe8, N: 3}
 	a := spectral.Result{Complete: true}
 	b := spectral.Result{Complete: false}
 	if got, inserted := c.put(k, a); !inserted || got.Complete != a.Complete {
@@ -101,7 +101,7 @@ func TestClassCacheSharding(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	const n = 4096
 	for i := 0; i < n; i++ {
-		c.put(key{bits: rng.Uint64(), n: int8(1 + rng.Intn(6))}, spectral.Result{})
+		c.put(tt.T{Bits: rng.Uint64(), N: 1 + rng.Intn(6)}, spectral.Result{})
 	}
 	if got := c.len(); got != n {
 		// Collisions of random 64-bit keys are negligible at this scale.
@@ -166,7 +166,7 @@ func TestClassCacheRoundTrip(t *testing.T) {
 		// Through the cache itself, under a fresh key: put returns the
 		// canonical value, get unpacks it, and a second put adopts it.
 		next++
-		k := key{n: int8(res.Repr.N), bits: next}
+		k := tt.T{Bits: next, N: res.Repr.N}
 		if got, _ := c.put(k, res); got != res {
 			t.Fatalf("%s: put returned %+v", what, got)
 		}

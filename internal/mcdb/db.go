@@ -90,11 +90,6 @@ type dbStats struct {
 	refineAndsSaved atomic.Int64
 }
 
-type key struct {
-	n    int8
-	bits uint64
-}
-
 // DB caches affine classifications and representative circuits. It plays
 // the role of the paper's XAG_DB plus its classification cache. Synthesis is
 // fully on demand: looking up a function classifies it, reuses or builds the
@@ -124,7 +119,7 @@ type DB struct {
 	// the single entry the pre-Pareto database stored — so MC-model lookups
 	// are unchanged; other models select from the front via EntryForModel.
 	mu      sync.Mutex
-	entries map[key][]*Entry
+	entries map[tt.T][]*Entry
 
 	// onNew, when set, observes every entry newly admitted to the database
 	// (synthesized, loaded, or merged). It runs while db.mu is held, so the
@@ -153,11 +148,9 @@ func New(opts Options) *DB {
 	return &DB{
 		opts:    opts.withDefaults(),
 		classes: newClassCache(),
-		entries: make(map[key][]*Entry),
+		entries: make(map[tt.T][]*Entry),
 	}
 }
-
-func keyOf(f tt.T) key { return key{int8(f.N), f.Bits} }
 
 // Stats returns a snapshot of the activity counters. Safe to call while
 // other goroutines use the database.
@@ -188,8 +181,7 @@ func (db *DB) NumClasses() int { return db.classes.len() }
 // callers classifying the same function may duplicate the computation, but
 // all of them observe the same canonical Result (first insert wins).
 func (db *DB) Classify(f tt.T) spectral.Result {
-	k := keyOf(f)
-	if res, ok := db.classes.get(k); ok {
+	if res, ok := db.classes.get(f); ok {
 		db.stats.classCacheHits.Add(1)
 		return res
 	}
@@ -197,7 +189,7 @@ func (db *DB) Classify(f tt.T) spectral.Result {
 	if h := db.classifySteps.Load(); h != nil {
 		h.Observe(float64(res.Steps))
 	}
-	res, inserted := db.classes.put(k, res)
+	res, inserted := db.classes.put(f, res)
 	db.stats.classified.Add(1)
 	if inserted && !res.Complete {
 		db.stats.incomplete.Add(1)
@@ -236,7 +228,7 @@ func (db *DB) EntryForModel(repr tt.T, m cost.Model) *Entry {
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		best := db.entryForLocked(repr) // synthesizes the front head on a miss
-		for _, e := range db.entries[keyOf(repr)][1:] {
+		for _, e := range db.entries[repr][1:] {
 			if m.Better(implOf(e), implOf(best)) {
 				best = e
 			}
@@ -260,8 +252,7 @@ func (db *DB) EntryForModel(repr tt.T, m cost.Model) *Entry {
 // circuit is always admitted first.
 // Callers must hold db.mu, and e must already be verified.
 func (db *DB) addEntryLocked(e *Entry) bool {
-	k := keyOf(e.F)
-	list := db.entries[k]
+	list := db.entries[e.F]
 	eMC, eAD := e.MC(), e.AndDepth()
 	for i, old := range list {
 		if old.MC() <= eMC && old.AndDepth() <= eAD {
@@ -292,7 +283,7 @@ func (db *DB) addEntryLocked(e *Entry) bool {
 		}
 		return kept[i].XorCost() < kept[j].XorCost()
 	})
-	db.entries[k] = kept
+	db.entries[e.F] = kept
 	if db.onNew != nil {
 		db.onNew(e)
 	}
@@ -319,8 +310,7 @@ func (db *DB) EntryFor(f tt.T) *Entry {
 }
 
 func (db *DB) entryForLocked(f tt.T) *Entry {
-	k := keyOf(f)
-	if list, ok := db.entries[k]; ok {
+	if list, ok := db.entries[f]; ok {
 		db.stats.entryCacheHits.Add(1)
 		return list[0]
 	}
@@ -328,7 +318,7 @@ func (db *DB) entryForLocked(f tt.T) *Entry {
 	if err := e.Verify(); err != nil {
 		panic(err) // internal invariant: every stored entry computes F
 	}
-	db.entries[k] = []*Entry{e}
+	db.entries[f] = []*Entry{e}
 	if db.onNew != nil {
 		db.onNew(e)
 	}
@@ -391,13 +381,13 @@ func (db *DB) emit(b *builder, f tt.T) uint32 {
 	if mask, compl, ok := f.IsAffine(); ok {
 		return affineMask(mask, compl, func(i int) uint32 { return 1 << uint(1+i) }, f.N)
 	}
-	sh, from := f.Shrink()
+	sh, support := f.Shrink()
 	res := db.Classify(sh)
 	e := db.entryForLocked(res.Repr)
 	if !e.Exact {
 		b.exact = false
 	}
-	return inlineTransformed(b, e, res.Tr, from)
+	return inlineTransformed(b, e, res.Tr, support)
 }
 
 // emitDirect synthesizes f without classifying f itself: exhaustive search
@@ -413,14 +403,14 @@ func (db *DB) emitDirect(b *builder, f tt.T) uint32 {
 	// that wide functions whose optimality proof is out of reach abort to
 	// the Davio fallback quickly; up to four variables the full budget
 	// always suffices for a proven-optimal circuit.
-	sh, from := f.Shrink()
+	sh, support := f.Shrink()
 	budget := db.opts.SearchBudget
 	for n := sh.N; n > 4; n-- {
 		budget /= 16
 	}
 	if e, _ := ExactSearch(sh, db.opts.MaxExactK, budget); e != nil {
 		db.stats.exactSyntheses.Add(1)
-		return inlineTransformed(b, e, identityTransform(sh.N), from)
+		return inlineTransformed(b, e, identityTransform(sh.N), support)
 	}
 	b.exact = false
 	db.stats.davioFallbacks.Add(1)
@@ -456,9 +446,14 @@ func identityTransform(n int) spectral.Transform {
 
 // inlineTransformed copies entry e (over shrunk variables) into the builder,
 // wrapping it in the affine transform tr and renaming shrunk variable j to
-// builder variable from[j]. The transform and renaming are XOR/complement
-// only, so no AND gates are added beyond e's steps.
-func inlineTransformed(b *builder, e *Entry, tr spectral.Transform, from []int) uint32 {
+// the builder variable at the j-th set bit of support (tt.T.Shrink's mask).
+// The transform and renaming are XOR/complement only, so no AND gates are
+// added beyond e's steps.
+func inlineTransformed(b *builder, e *Entry, tr spectral.Transform, support uint) uint32 {
+	var from [tt.MaxVars]int
+	for j, s := 0, support; s != 0; j, s = j+1, s&(s-1) {
+		from[j] = bits.TrailingZeros(s)
+	}
 	varBit := func(j int) uint32 { return 1 << uint(1+from[j]) }
 	// val[i] is the builder-basis mask of entry basis element i.
 	val := make([]uint32, 1+e.N+len(e.Steps))

@@ -415,7 +415,7 @@ func TestProofBitTieUpgrade(t *testing.T) {
 	if !db.addEntryLocked(stamped) {
 		t.Fatal("proof-bit upgrade refused")
 	}
-	head := db.entries[keyOf(f)][0]
+	head := db.entries[f][0]
 	db.mu.Unlock()
 	if !head.Exact || !head.Refined {
 		t.Fatalf("head not upgraded: Exact=%v Refined=%v", head.Exact, head.Refined)
@@ -425,7 +425,7 @@ func TestProofBitTieUpgrade(t *testing.T) {
 	if db.addEntryLocked(plain) {
 		t.Fatal("weaker duplicate replaced the proven entry")
 	}
-	head = db.entries[keyOf(f)][0]
+	head = db.entries[f][0]
 	db.mu.Unlock()
 	if !head.Exact || !head.Refined {
 		t.Fatal("proof bits lost after replaying the weaker record")

@@ -144,30 +144,27 @@ func (t T) SupportMask() uint {
 }
 
 // Shrink removes don't-care variables, compacting the support to the low
-// variable indices. It returns the shrunk table and, for each new variable
-// index, the original variable it came from.
-func (t T) Shrink() (T, []int) {
-	var fromOrig []int
-	cur := t
-	for i := 0; i < cur.N; i++ {
-		if cur.DependsOn(i) {
-			fromOrig = append(fromOrig, i)
-		}
-	}
-	if len(fromOrig) == t.N {
-		return t, fromOrig
+// variable indices. It returns the shrunk table and t.SupportMask(): shrunk
+// variable j is the original variable at the j-th set bit of the mask.
+func (t T) Shrink() (T, uint) {
+	support := t.SupportMask()
+	k := bits.OnesCount(support)
+	if k == t.N {
+		return t, support
 	}
 	// Move the supporting variables down to positions 0..k-1 in order.
-	for newPos, origPos := range fromOrig {
-		for p := origPos; p > newPos; p-- {
+	// Shifting a variable down displaces the ones between its new and old
+	// position up by one; the later support variables are unaffected in
+	// position because they sit strictly above it.
+	cur := t
+	newPos := 0
+	for m := support; m != 0; m &= m - 1 {
+		for p := bits.TrailingZeros(m); p > newPos; p-- {
 			cur = cur.SwapAdjacent(p - 1)
 		}
-		// Shifting a variable down displaces the ones between newPos and
-		// origPos up by one; later entries of fromOrig are unaffected in
-		// value because they are strictly larger than origPos.
+		newPos++
 	}
-	res := T{cur.Bits & Mask(len(fromOrig)), len(fromOrig)}
-	return res, fromOrig
+	return T{cur.Bits & Mask(k), k}, support
 }
 
 // SwapAdjacent returns the table with variables i and i+1 exchanged.

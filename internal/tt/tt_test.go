@@ -96,32 +96,65 @@ func TestDependsOnAndSupport(t *testing.T) {
 func TestShrink(t *testing.T) {
 	// x1 ∧ x3 over 5 variables shrinks to x0 ∧ x1 over 2 variables.
 	f := Var(1, 5).And(Var(3, 5))
-	g, from := f.Shrink()
+	g, support := f.Shrink()
 	if g.N != 2 {
 		t.Fatalf("shrunk N = %d, want 2", g.N)
 	}
-	if len(from) != 2 || from[0] != 1 || from[1] != 3 {
-		t.Fatalf("from = %v, want [1 3]", from)
+	if support != 0b01010 {
+		t.Fatalf("support = %05b, want 01010", support)
 	}
 	if g != Var(0, 2).And(Var(1, 2)) {
 		t.Fatalf("shrunk table = %s, want 8", g)
 	}
-	// Shrinking must preserve values under the variable mapping.
+	// Shrinking must preserve values under the variable mapping: shrunk
+	// variable j is the j-th set bit of the support mask.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(MaxVars)
 		f := New(rng.Uint64(), n)
-		g, from := f.Shrink()
+		g, support := f.Shrink()
+		if support != f.SupportMask() || g.N != bits.OnesCount(support) {
+			t.Fatalf("f=%s: support %b, N %d; want %b and its popcount", f, support, g.N, f.SupportMask())
+		}
 		for m := 0; m < f.Size(); m++ {
 			var gm uint
-			for newI, origI := range from {
-				gm |= uint(m) >> uint(origI) & 1 << uint(newI)
+			newI := 0
+			for s := support; s != 0; s &= s - 1 {
+				gm |= uint(m) >> uint(bits.TrailingZeros(s)) & 1 << uint(newI)
+				newI++
 			}
 			if g.Eval(gm) != f.Get(m) {
-				t.Fatalf("shrink mismatch: f=%s n=%d m=%d from=%v", f, n, m, from)
+				t.Fatalf("shrink mismatch: f=%s n=%d m=%d support=%b", f, n, m, support)
 			}
 		}
 	}
+}
+
+// TestShrinkAllocFree pins that Shrink allocates nothing: the rewriting
+// engine shrinks every cut function of every round.
+func TestShrinkAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	fs := make([]T, 64)
+	for i := range fs {
+		n := rng.Intn(MaxVars + 1)
+		f := New(rng.Uint64(), n)
+		// Cofactor some variables away so most tables need compacting.
+		for k := 0; n > 0 && k < 2; k++ {
+			f = f.Cofactor(rng.Intn(n), rng.Intn(2) == 1)
+		}
+		fs[i] = f
+	}
+	var sink uint
+	avg := testing.AllocsPerRun(100, func() {
+		for _, f := range fs {
+			_, s := f.Shrink()
+			sink += s
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Shrink allocates %.1f times per %d tables, want 0", avg, len(fs))
+	}
+	_ = sink
 }
 
 func TestSwapVars(t *testing.T) {

@@ -163,8 +163,8 @@ func WithCutSize(k int) Option {
 }
 
 // WithIncremental is ignored: Minimize always reuses the previous round's
-// cut lists and classifications where they provably still hold, and the
-// optimized network is the same as without reuse.
+// cut lists where they provably still hold, and the optimized network is
+// the same as without reuse.
 //
 // Deprecated: there is no longer a full-recompute mode to switch to; drop
 // the option.
