@@ -218,12 +218,13 @@ func (r Result) Initial() xag.Counts {
 	return r.Rounds[0].Before
 }
 
-// Final returns the gate counts after the last round.
+// Final returns the gate counts of the returned network: the last round's
+// output, or that round's input when Minimize rolled the round back.
 func (r Result) Final() xag.Counts {
 	if len(r.Rounds) == 0 {
 		return xag.Counts{}
 	}
-	return r.Rounds[len(r.Rounds)-1].After
+	return r.Network.CountGates()
 }
 
 // MinimizeMC runs rewriting rounds until convergence (or MaxRounds) and

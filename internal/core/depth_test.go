@@ -98,3 +98,24 @@ func TestNilCostDefaultsToMC(t *testing.T) {
 		t.Fatalf("nil-Cost run differs from explicit MC run")
 	}
 }
+
+// TestMinimizeDropsWorseningRound: under the depth model sha-256-round's
+// third round adds 11 ANDs at the same AND depth. Minimize stops there and
+// returns that round's input, 503 ANDs at depth 46, not its output.
+func TestMinimizeDropsWorseningRound(t *testing.T) {
+	res := MinimizeMC(bench.SHA256Round(), Options{Workers: 2, Cost: cost.Depth()})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	last := res.Rounds[len(res.Rounds)-1]
+	if !cost.Depth().Improved(last.After, last.Before) {
+		t.Fatalf("final round %+v -> %+v did not make the cost worse; nothing to roll back", last.Before, last.After)
+	}
+	got := res.Network.CountGates()
+	if got.And != 503 || got.AndDepth != 46 {
+		t.Fatalf("returned %d ANDs at AND depth %d, want 503 at 46", got.And, got.AndDepth)
+	}
+	if got != last.Before || res.Final() != got {
+		t.Fatalf("returned counts %+v, Final %+v, want the final round's input %+v", got, res.Final(), last.Before)
+	}
+}

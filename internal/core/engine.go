@@ -223,11 +223,10 @@ func (e *Engine) cutParams(net *xag.Network) cut.Params {
 		net.EnsureDepths()
 		model := e.opts.Cost
 		params.Rank = func(leaves []int) int {
-			ds := make([]int, len(leaves))
 			for i, id := range leaves {
-				ds[i] = net.AndDepth(id)
+				leaves[i] = net.AndDepth(id) // Rank may overwrite its scratch
 			}
-			return model.CutRank(ds)
+			return model.CutRank(leaves)
 		}
 	}
 	return params
@@ -596,7 +595,9 @@ func (e *Engine) applyReplacement(net *xag.Network, id int, c *cut.Cut, p *prepa
 
 // Minimize runs rewriting rounds until convergence (or Options.MaxRounds),
 // honoring cancellation and the Options.Verify end-of-round miter, and
-// returns the optimized network. The input network is not modified.
+// returns the optimized network. The input network is not modified. The
+// round that ends convergence, the first that does not improve the cost, is
+// kept when it ties and rolled back when it made the cost worse.
 // Degradation counters accumulate on the engine across calls; the Result
 // carries a snapshot.
 func (e *Engine) Minimize(ctx context.Context, n *xag.Network) Result {
@@ -622,10 +623,7 @@ func (e *Engine) Minimize(ctx context.Context, n *xag.Network) Result {
 			res.Err = err
 			break
 		}
-		var prev *xag.Network
-		if e.opts.Verify {
-			prev = net.Cleanup() // rollback point: the round consumes net
-		}
+		prev := net.Clone() // rollback point: the round consumes net
 		var stats RoundStats
 		var roundErr error
 		net, stats, roundErr = e.round(ctx, net, &e.deg, inc)
@@ -647,6 +645,9 @@ func (e *Engine) Minimize(ctx context.Context, n *xag.Network) Result {
 			break
 		}
 		if !e.opts.Cost.Improved(stats.Before, stats.After) {
+			if e.opts.Cost.Improved(stats.After, stats.Before) {
+				net = prev // the round made the cost worse: keep its input
+			}
 			res.Converged = true
 			break
 		}

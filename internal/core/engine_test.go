@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/builder"
+	"repro/internal/cost"
 	"repro/internal/cut"
 	"repro/internal/mcdb"
 	"repro/internal/tt"
@@ -213,4 +214,28 @@ func TestPrepareNodeAllocs(t *testing.T) {
 		return
 	}
 	t.Fatal("no gate with three usable candidates")
+}
+
+// TestRankedEnumerateAllocs: ranking cuts under the depth model costs no
+// allocation per candidate. Enumerating with the engine's depth-ranked
+// parameters allocates no more than the unranked enumeration of the same
+// network plus a constant.
+func TestRankedEnumerateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation count not pinned under -race: instrumented builds may move values to the heap")
+	}
+	net := md5Style(8)
+	ranked := NewEngine(nil, Options{Cost: cost.Depth()}).cutParams(net)
+	if ranked.Rank == nil {
+		t.Fatal("the depth model does not rank cuts")
+	}
+	plain := ranked
+	plain.Rank = nil
+	cut.Enumerate(net, ranked) // warm the scratch pool
+	allocs := func(p cut.Params) float64 {
+		return testing.AllocsPerRun(5, func() { cut.Enumerate(net, p) })
+	}
+	if r, u := allocs(ranked), allocs(plain); r > u+16 {
+		t.Fatalf("depth-ranked enumeration allocates %.0f times, unranked %.0f; want at most 16 more", r, u)
+	}
 }

@@ -12,23 +12,28 @@ import (
 )
 
 // roundReference runs Engine.Round to convergence the way Minimize does:
-// it starts from n.Cleanup() and keeps the output of the final round, the
-// one that did not improve. Round carries no state from one pass to the
-// next, so this is the full-recompute reference that Minimize, with its
-// cross-round cut seeds, must match byte for byte and counter for counter.
-// It returns the network, the number of rounds run, and the engine's
-// degradation counters.
+// it starts from n.Cleanup() and stops at the first round that does not
+// improve, keeping that round's output when it ties and its input when it
+// made the cost worse. Round carries no state from one pass to the next, so
+// this is the full-recompute reference that Minimize, with its cross-round
+// cut seeds, must match byte for byte and counter for counter. It returns
+// the network, the number of rounds run, and the engine's degradation
+// counters.
 func roundReference(t testing.TB, n *xag.Network, opts Options) (*xag.Network, int, Degradation) {
 	t.Helper()
 	eng := NewEngine(opts.DB, opts)
 	net := n.Cleanup()
 	for rounds := 1; ; rounds++ {
+		prev := net.Clone() // Round consumes net
 		out, st, err := eng.Round(context.Background(), net)
 		if err != nil {
 			t.Fatal(err)
 		}
 		net = out
 		if !eng.opts.Cost.Improved(st.Before, st.After) {
+			if eng.opts.Cost.Improved(st.After, st.Before) {
+				net = prev
+			}
 			return net, rounds, eng.Degraded()
 		}
 	}
@@ -83,7 +88,8 @@ func fuzzNetwork(data []byte) *xag.Network {
 // cost model at 1 and 4 workers, all against one database per model, and
 // asserts that:
 //   - the output is equivalent to the input, checked exhaustively;
-//   - under mc, the AND count never rises;
+//   - under mc, the AND count never rises, and under every model the
+//     input never beats the output;
 //   - the Bristol bytes are equal across worker counts;
 //   - the Bristol bytes and the degradation counters equal those of
 //     roundReference on the same database.
@@ -128,6 +134,10 @@ func FuzzOptimize(f *testing.F) {
 				if m.name == "mc" && res.Final().And > res.Initial().And {
 					t.Fatalf("%s/workers=%d: AND count rose from %d to %d",
 						m.name, workers, res.Initial().And, res.Final().And)
+				}
+				if m.model.Improved(res.Final(), res.Initial()) {
+					t.Fatalf("%s/workers=%d: input %+v beats output %+v",
+						m.name, workers, res.Initial(), res.Final())
 				}
 				degraded[workers] = res.Degraded
 				got := bristol(t, res.Network)

@@ -5,8 +5,10 @@
 package cut
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -121,7 +123,9 @@ type Params struct {
 	// rank ties. A nil Rank keeps the default ordering exactly — the
 	// priority-cut lists are bit-identical to an unranked enumeration.
 	// Rank must be a pure function of the leaf set; it is called from
-	// enumeration workers.
+	// enumeration workers, once per candidate, with a scratch slice of the
+	// candidate's leaf ids that it may overwrite (for instance with the
+	// leaves' depths) and must not retain.
 	Rank func(leaves []int) int
 }
 
@@ -199,71 +203,63 @@ func Enumerate(n *xag.Network, p Params) *Set {
 // keeps the cancellation latency small without measurable overhead.
 const ctxCheckStride = 64
 
-// scratch holds the per-worker buffers of enumeration: candidate cuts and
-// the index/rank slices of prune. Pooled so steady-state enumeration does
-// one allocation per node (the kept cut list) instead of one per candidate
+// scratch holds the per-worker buffers of enumeration: one gate's candidate
+// cuts with the fanin cut pair each was merged from, and prune's rank, order
+// and kept-index slices. Pooled so steady-state enumeration does one
+// allocation per node (the kept cut list) instead of one per candidate
 // batch.
 type scratch struct {
-	cand   []Cut
+	cand   []Cut      // feasible merges; their tables are not computed
+	from   [][2]int32 // from[i]: the fanin cut indices cand[i] was merged from
 	ranks  []int
-	keep   []int
+	order  []int32
+	keep   []int32
 	leaves []int
-	sorter pruneSorter
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// pruneSorter sorts an index permutation by (rank, size, leaf order). A
-// plain sort.Interface implementation (instead of sort.Slice) keeps the
-// sort allocation-free: the value lives in the pooled scratch and only a
-// pointer crosses the interface.
-type pruneSorter struct {
-	idx     []int
-	cand    []Cut
-	ranks   []int
-	hasRank bool
-}
-
-func (s *pruneSorter) Len() int      { return len(s.idx) }
-func (s *pruneSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-func (s *pruneSorter) Less(a, b int) bool {
-	i, j := s.idx[a], s.idx[b]
-	if s.hasRank && s.ranks[i] != s.ranks[j] {
-		return s.ranks[i] < s.ranks[j]
-	}
-	ci, cj := &s.cand[i], &s.cand[j]
-	if ci.n != cj.n {
-		return ci.n < cj.n
-	}
-	for k := 0; k < int(ci.n); k++ {
-		if ci.leaves[k] != cj.leaves[k] {
-			return ci.leaves[k] < cj.leaves[k]
-		}
-	}
-	return false
-}
-
 // nodeCuts computes the pruned cut list of one gate from the cut lists of
 // its fanins. It only reads the (compact) network and the fanin slots of
 // byID, so disjoint nodes can be processed concurrently.
+//
+// The work follows the cuts the gate keeps, not the fanin cut pairs it
+// looks at. A pair is rejected before merging when its leaf signatures
+// together set more than K bits: each set bit stands for at least one
+// distinct leaf, so the merge would overflow. Truth tables are computed
+// only for the cuts prune keeps, each from the fanin pair that produced it,
+// which is the table a merge-time computation would have given that cut.
 func nodeCuts(n *xag.Network, id int, byID [][]Cut, p Params, sc *scratch) []Cut {
 	f0, f1 := n.Fanins(id)
 	c0s := byID[f0.Node()]
 	c1s := byID[f1.Node()]
-	isAnd := n.Kind(id) == xag.KindAnd
-	cand := sc.cand[:0]
+	cand, from := sc.cand[:0], sc.from[:0]
 	for i := range c0s {
+		c0 := &c0s[i]
 		for j := range c1s {
-			m, ok := merge(&c0s[i], &c1s[j], p.K)
+			c1 := &c1s[j]
+			if bits.OnesCount64(c0.sig|c1.sig) > p.K {
+				continue
+			}
+			m, ok := merge(c0, c1, p.K)
 			if !ok {
 				continue
 			}
-			m.Table = mergedTable(&m, &c0s[i], &c1s[j], f0.Compl(), f1.Compl(), isAnd)
 			cand = append(cand, m)
+			from = append(from, [2]int32{int32(i), int32(j)})
 		}
 	}
-	sc.cand = cand
-	return prune(cand, p, id, sc)
+	sc.cand, sc.from = cand, from
+	keep := prune(cand, p, sc)
+	isAnd := n.Kind(id) == xag.KindAnd
+	out := make([]Cut, len(keep)+1)
+	for oi, k := range keep {
+		c := cand[k]
+		c.Table = mergedTable(&c, &c0s[from[k][0]], &c1s[from[k][1]], f0.Compl(), f1.Compl(), isAnd)
+		out[oi] = c
+	}
+	out[len(keep)] = trivial(id)
+	return out
 }
 
 // EnumerateParallel is Enumerate with a bounded worker pool and
@@ -501,54 +497,75 @@ func mergedTable(m, c0, c1 *Cut, compl0, compl1, isAnd bool) tt.T {
 	return t0.Xor(t1)
 }
 
-// prune removes duplicate and dominated cuts, keeps the limit best by
-// (model rank, size, leaf order), and appends the trivial cut. Without a
-// Params.Rank all ranks are zero and the ordering is exactly the classic
-// (size, leaf order) one. Only the returned kept list is freshly allocated;
-// all intermediates live in the scratch.
-func prune(cand []Cut, p Params, id int, sc *scratch) []Cut {
-	hasRank := p.Rank != nil
-	ranks := sc.ranks[:0]
-	if hasRank {
+// prune returns the indices of the candidates to keep, in order: the first
+// p.Limit candidates in (model rank, size, leaf order) that no earlier kept
+// candidate dominates. A repeated leaf set is dominated by its first copy,
+// and equal leaf sets stay in candidate order, so the first fanin pair of a
+// leaf set is the one kept. Without a Params.Rank all ranks are zero and
+// the order is the classic (size, leaf order) one.
+//
+// Candidates are sorted by the integer key (rank, size) alone. A run of
+// equal keys is put into leaf order only when the scan reaches it, so the
+// wide candidates past the budget are never compared leaf by leaf. All
+// slices live in the scratch.
+func prune(cand []Cut, p Params, sc *scratch) []int32 {
+	var ranks []int
+	if p.Rank != nil {
+		ranks = sc.ranks[:0]
 		for i := range cand {
 			sc.leaves = cand[i].AppendLeaves(sc.leaves[:0])
 			ranks = append(ranks, p.Rank(sc.leaves))
 		}
 		sc.ranks = ranks
 	}
-	// Sort an index permutation so the rank slice stays aligned with the
-	// candidates while sorting.
-	st := &sc.sorter
-	idx := st.idx[:0]
+	// Order by (rank, size): a stable counting sort by size and, when
+	// ranked, a stable sort by rank; ties keep candidate order.
+	var next [MaxK + 2]int32
 	for i := range cand {
-		idx = append(idx, i)
+		next[cand[i].n+1]++
 	}
-	st.idx, st.cand, st.ranks, st.hasRank = idx, cand, ranks, hasRank
-	sort.Sort(st)
-	st.cand, st.ranks = nil, nil // do not retain past this call
+	for s := 1; s < len(next); s++ {
+		next[s] += next[s-1]
+	}
+	order := slices.Grow(sc.order[:0], len(cand))[:len(cand)]
+	sc.order = order
+	for i := range cand {
+		s := cand[i].n
+		order[next[s]] = int32(i)
+		next[s]++
+	}
+	if ranks != nil {
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(ranks[a], ranks[b]) })
+	}
 	keep := sc.keep[:0]
-	for _, i := range idx {
-		c := &cand[i]
-		dup := false
-		for _, j := range keep {
-			if cand[j].dominates(c) {
-				dup = true
+	for lo := 0; lo < len(order) && len(keep) != p.Limit; {
+		hi := lo + 1
+		for hi < len(order) && cand[order[hi]].n == cand[order[lo]].n &&
+			(ranks == nil || ranks[order[hi]] == ranks[order[lo]]) {
+			hi++
+		}
+		run := order[lo:hi]
+		slices.SortFunc(run, func(a, b int32) int {
+			ca, cb := &cand[a], &cand[b]
+			if c := slices.Compare(ca.leaves[:ca.n], cb.leaves[:cb.n]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b) // equal leaf sets keep candidate order
+		})
+	scan:
+		for _, i := range run {
+			for _, j := range keep {
+				if cand[j].dominates(&cand[i]) {
+					continue scan
+				}
+			}
+			keep = append(keep, i)
+			if len(keep) == p.Limit {
 				break
 			}
 		}
-		if dup {
-			continue
-		}
-		keep = append(keep, i)
-		if len(keep) == p.Limit {
-			break
-		}
+		lo = hi
 	}
 	sc.keep = keep
-	out := make([]Cut, len(keep)+1)
-	for oi, i := range keep {
-		out[oi] = cand[i]
-	}
-	out[len(keep)] = trivial(id)
-	return out
+	return keep
 }

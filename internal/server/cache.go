@@ -31,7 +31,10 @@ import (
 // keeps the value it had when the option was on.
 
 // cacheKeyMagic domain-separates request keys from bare network hashes.
-var cacheKeyMagic = [8]byte{'M', 'C', 'R', 'E', 'Q', 'K', '0', '1'}
+// Its last two bytes version the engine: they change whenever some request's
+// result does, so a persisted cache stops serving the older results. 02:
+// Minimize returns the input of a final round that made the cost worse.
+var cacheKeyMagic = [8]byte{'M', 'C', 'R', 'E', 'Q', 'K', '0', '2'}
 
 func cacheKey(net *xag.Network, o RequestOptions) rescache.Key {
 	nh := net.CanonicalHash()

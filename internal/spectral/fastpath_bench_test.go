@@ -5,10 +5,7 @@ package spectral
 // adder-64 and sha-256-round. BenchmarkClassify runs the shipping pooled
 // canonizer, BenchmarkClassifyReference the frozen pre-optimization search
 // (fastpath_test.go) on the same functions — the ratio of their classify/s
-// metrics is the fast path's cold-DB speedup, demonstrated on exactly the
-// workload the acceptance criterion names. The recorded BENCH_classify.json
-// rows come from the repo-root BenchmarkClassify suite, which drives the
-// same workloads through the mcdb cache layers.
+// metrics is the fast path's cold-DB speedup on that workload.
 
 import (
 	"sort"
