@@ -7,7 +7,9 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
+	"repro/internal/tt"
 	"repro/internal/xag"
 )
 
@@ -30,6 +32,35 @@ func checkInterface(a, b *xag.Network) error {
 	return nil
 }
 
+// miter evaluates two networks with the same interface on shared stimulus,
+// each from one evaluator built once per check.
+type miter struct {
+	a, b *xag.Evaluator
+	pos  int
+}
+
+func newMiter(a, b *xag.Network) miter {
+	return miter{a: xag.NewEvaluator(a), b: xag.NewEvaluator(b), pos: a.NumPOs()}
+}
+
+// check runs both networks on in and, at the first PO whose words differ
+// in a bit of valid, returns the counterexample of the lowest such bit.
+func (m *miter) check(in []uint64, valid uint64) *Counterexample {
+	m.a.Run(in)
+	m.b.Run(in)
+	for po := 0; po < m.pos; po++ {
+		if diff := (m.a.Output(po) ^ m.b.Output(po)) & valid; diff != 0 {
+			k := bits.TrailingZeros64(diff)
+			inputs := make([]bool, len(in))
+			for i := range inputs {
+				inputs[i] = in[i]>>uint(k)&1 == 1
+			}
+			return &Counterexample{Inputs: inputs, PO: po}
+		}
+	}
+	return nil
+}
+
 // ExhaustiveEqual checks equivalence over all input assignments. It is
 // limited to 20 primary inputs (2^20 patterns, packed 64 per word).
 func ExhaustiveEqual(a, b *xag.Network) error {
@@ -40,38 +71,23 @@ func ExhaustiveEqual(a, b *xag.Network) error {
 	if n > 20 {
 		return fmt.Errorf("sim: %d inputs too many for exhaustive check", n)
 	}
-	total := 1 << uint(n)
-	batch := 64
-	if total < batch {
-		batch = total
-	}
+	// Bit k of a batch holds assignment base+k, base a multiple of 64: a
+	// variable below six takes its six-variable projection table, and a
+	// higher variable i is constant across the batch, bit i of base. With
+	// fewer than six inputs the batch repeats the 2^n assignments; valid
+	// keeps only the first copy.
 	in := make([]uint64, n)
-	for base := 0; base < total; base += batch {
-		for i := range in {
-			in[i] = 0
+	for i := 0; i < n && i < tt.MaxVars; i++ {
+		in[i] = tt.Var(i, tt.MaxVars).Bits
+	}
+	valid := tt.Mask(n)
+	m := newMiter(a, b)
+	for base := 0; base < 1<<uint(n); base += 64 {
+		for i := tt.MaxVars; i < n; i++ {
+			in[i] = -uint64(base >> uint(i) & 1)
 		}
-		for k := 0; k < batch && base+k < total; k++ {
-			m := base + k
-			for i := 0; i < n; i++ {
-				if m>>uint(i)&1 == 1 {
-					in[i] |= 1 << uint(k)
-				}
-			}
-		}
-		wa, wb := a.Simulate(in), b.Simulate(in)
-		for po := range wa {
-			if diff := wa[po] ^ wb[po]; diff != 0 {
-				k := 0
-				for diff>>uint(k)&1 == 0 {
-					k++
-				}
-				m := base + k
-				inputs := make([]bool, n)
-				for i := range inputs {
-					inputs[i] = m>>uint(i)&1 == 1
-				}
-				return &Counterexample{Inputs: inputs, PO: po}
-			}
+		if ce := m.check(in, valid); ce != nil {
+			return ce
 		}
 	}
 	return nil
@@ -87,8 +103,8 @@ func RandomEqual(a, b *xag.Network, rounds int, seed uint64) error {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	n := a.NumPIs()
-	in := make([]uint64, n)
+	in := make([]uint64, a.NumPIs())
+	m := newMiter(a, b)
 	for r := 0; r < rounds; r++ {
 		for i := range in {
 			seed ^= seed << 13
@@ -96,19 +112,8 @@ func RandomEqual(a, b *xag.Network, rounds int, seed uint64) error {
 			seed ^= seed << 17
 			in[i] = seed
 		}
-		wa, wb := a.Simulate(in), b.Simulate(in)
-		for po := range wa {
-			if diff := wa[po] ^ wb[po]; diff != 0 {
-				k := 0
-				for diff>>uint(k)&1 == 0 {
-					k++
-				}
-				inputs := make([]bool, n)
-				for i := range inputs {
-					inputs[i] = in[i]>>uint(k)&1 == 1
-				}
-				return &Counterexample{Inputs: inputs, PO: po}
-			}
+		if ce := m.check(in, ^uint64(0)); ce != nil {
+			return ce
 		}
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -130,7 +132,7 @@ func (n *Network) WriteBristol(w io.Writer) error {
 // wires; MAND (multi-AND) is expanded into 2-input ANDs.
 func ReadBristol(r io.Reader) (*Network, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from 4 KiB as long lines need, up to 16 MiB
 	fields := func() ([]string, error) {
 		for sc.Scan() {
 			f := strings.Fields(sc.Text())
@@ -154,6 +156,15 @@ func ReadBristol(r io.Reader) (*Network, error) {
 		}
 		return v, nil
 	}
+	// gateInt is parseInt for a field of gate g; the error context is
+	// formatted only when the field fails to parse.
+	gateInt := func(s string, g int, what string) (int, error) {
+		v, err := strconv.Atoi(s)
+		if err != nil {
+			return 0, fmt.Errorf("xag: bristol gate %d %s: bad integer %q", g, what, s)
+		}
+		return v, nil
+	}
 
 	head, err := fields()
 	if err != nil {
@@ -172,7 +183,9 @@ func ReadBristol(r io.Reader) (*Network, error) {
 	}
 
 	// sumHeader parses a "count w_1 … w_count" value header and returns the
-	// total bit width.
+	// total bit width. A total that does not fit an int exceeds any wire
+	// count, so it is rejected as soon as the running sum would wrap; a
+	// smaller total above nWires is rejected below with both totals.
 	sumHeader := func(hdr []string, what string) (int, error) {
 		nVals, err := parseInt(hdr[0], what+" header")
 		if err != nil {
@@ -189,6 +202,9 @@ func ReadBristol(r io.Reader) (*Network, error) {
 			}
 			if v < 0 {
 				return 0, fmt.Errorf("xag: bristol %s header: negative width %d", what, v)
+			}
+			if v > math.MaxInt-total {
+				return 0, fmt.Errorf("xag: bristol header: %s widths exceed %d wires", what, nWires)
 			}
 			total += v
 		}
@@ -228,7 +244,7 @@ func ReadBristol(r io.Reader) (*Network, error) {
 		wires[i] = Lit(^uint32(0)) // sentinel: undefined
 	}
 	for i := 0; i < totalIn; i++ {
-		wires[i] = net.AddPI(fmt.Sprintf("w%d", i))
+		wires[i] = net.AddPI("w" + strconv.Itoa(i))
 	}
 
 	// defineWire is the single write path for gate outputs. Bristol wires are
@@ -247,6 +263,8 @@ func ReadBristol(r io.Reader) (*Network, error) {
 		return nil
 	}
 
+	var ins []Lit // reused across gates
+	var outs []int
 	for g := 0; g < nGates; g++ {
 		f, err := fields()
 		if err != nil {
@@ -255,11 +273,11 @@ func ReadBristol(r io.Reader) (*Network, error) {
 		if len(f) < 3 {
 			return nil, fmt.Errorf("xag: bristol gate %d: too few fields", g)
 		}
-		nin, err := parseInt(f[0], fmt.Sprintf("gate %d arity", g))
+		nin, err := gateInt(f[0], g, "arity")
 		if err != nil {
 			return nil, err
 		}
-		nout, err := parseInt(f[1], fmt.Sprintf("gate %d arity", g))
+		nout, err := gateInt(f[1], g, "arity")
 		if err != nil {
 			return nil, err
 		}
@@ -267,9 +285,9 @@ func ReadBristol(r io.Reader) (*Network, error) {
 			return nil, fmt.Errorf("xag: bristol gate %d: field count", g)
 		}
 		op := f[len(f)-1]
-		ins := make([]Lit, nin)
+		ins = slices.Grow(ins[:0], nin)[:nin]
 		for i := 0; i < nin; i++ {
-			w, err := parseInt(f[2+i], fmt.Sprintf("gate %d input", g))
+			w, err := gateInt(f[2+i], g, "input")
 			if err != nil {
 				return nil, err
 			}
@@ -285,9 +303,9 @@ func ReadBristol(r io.Reader) (*Network, error) {
 				ins[i] = Const0.NotIf(w == 1)
 			}
 		}
-		outs := make([]int, nout)
+		outs = slices.Grow(outs[:0], nout)[:nout]
 		for i := 0; i < nout; i++ {
-			w, err := parseInt(f[2+nin+i], fmt.Sprintf("gate %d output", g))
+			w, err := gateInt(f[2+nin+i], g, "output")
 			if err != nil {
 				return nil, err
 			}
@@ -364,7 +382,7 @@ func ReadBristol(r io.Reader) (*Network, error) {
 		if wires[w] == Lit(^uint32(0)) {
 			return nil, fmt.Errorf("xag: bristol output wire %d undefined", w)
 		}
-		net.AddPO(wires[w], fmt.Sprintf("o%d", i))
+		net.AddPO(wires[w], "o"+strconv.Itoa(i))
 	}
 	return net, nil
 }

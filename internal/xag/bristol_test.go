@@ -3,6 +3,8 @@ package xag
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -128,46 +130,87 @@ func TestDOTOutput(t *testing.T) {
 }
 
 // TestBristolMalformedInputs pins the hardened parser: every corrupted file
-// must yield a descriptive error — never a panic, never a silently wrong
-// circuit.
+// must yield its descriptive error — never a panic, never a silently wrong
+// circuit. The messages reach HTTP clients as invalid_network error bodies,
+// so each is pinned byte for byte.
 func TestBristolMalformedInputs(t *testing.T) {
 	valid := "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n"
 	if _, err := ReadBristol(strings.NewReader(valid)); err != nil {
 		t.Fatalf("baseline circuit rejected: %v", err)
 	}
 	cases := []struct {
-		name, src string
+		name, src, msg string
 	}{
-		{"empty", ""},
-		{"header one field", "3\n"},
-		{"header non-integer", "x 5\n3 1 1 1\n1 1\n"},
-		{"header hex wires", "2 0x5\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n"},
-		{"header trailing junk", "2 5abc\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n"},
-		{"negative gate count", "-1 5\n3 1 1 1\n1 1\n"},
-		{"zero wires", "0 0\n0\n0\n"},
-		{"input count mismatch", "2 5\n3 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n"},
-		{"input width non-integer", "2 5\n3 1 q 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n"},
-		{"input width negative", "2 5\n3 1 -1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n"},
-		{"inputs exceed wires", "2 5\n1 99\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n"},
-		{"outputs exceed wires", "2 5\n3 1 1 1\n1 99\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n"},
-		{"truncated after header", "2 5\n3 1 1 1\n1 1\n"},
-		{"truncated mid gates", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n"},
-		{"trailing extra gate", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n2 1 0 1 3 AND\n"},
-		{"gate wire out of range", "2 5\n3 1 1 1\n1 1\n\n2 1 0 99 3 AND\n2 1 3 2 4 XOR\n"},
-		{"gate output out of range", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 99 AND\n2 1 3 2 4 XOR\n"},
-		{"gate reads undefined wire", "2 5\n3 1 1 1\n1 1\n\n2 1 0 4 3 AND\n2 1 3 2 4 XOR\n"},
-		{"gate wire non-integer", "2 5\n3 1 1 1\n1 1\n\n2 1 0 one 3 AND\n2 1 3 2 4 XOR\n"},
-		{"gate arity non-integer", "2 5\n3 1 1 1\n1 1\n\n2x 1 0 1 3 AND\n2 1 3 2 4 XOR\n"},
-		{"gate field count", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 AND\n2 1 3 2 4 XOR\n"},
-		{"unknown op", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 NAND\n2 1 3 2 4 XOR\n"},
-		{"xor arity", "2 5\n3 1 1 1\n1 1\n\n1 1 0 3 AND\n2 1 3 2 4 XOR\n"},
-		{"eq constant out of range", "1 2\n1 1\n1 1\n\n1 1 2 1 EQ\n"},
-		{"mand arity mismatch", "1 3\n2 1 1\n1 1\n\n3 1 0 1 0 2 MAND\n"},
-		{"output wire undefined", "1 9\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n"},
-		{"gate output collides with primary input", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 2 AND\n2 1 2 1 4 XOR\n"},
-		{"gate output redefines gate wire", "3 5\n2 1 1\n1 1\n\n2 1 0 1 2 AND\n2 1 0 1 2 XOR\n2 1 2 1 4 XOR\n"},
-		{"mand output collides with primary input", "1 4\n2 1 1\n1 1\n\n4 2 0 1 0 1 1 3 MAND\n"},
-		{"eqw output collides with primary input", "2 4\n2 1 1\n1 1\n\n1 1 0 1 EQW\n2 1 1 0 3 AND\n"},
+		{"empty", "",
+			"xag: bristol header: unexpected EOF"},
+		{"header one field", "3\n",
+			"xag: bristol header needs 2 fields, got 1"},
+		{"header non-integer", "x 5\n3 1 1 1\n1 1\n",
+			`xag: bristol header: bad integer "x"`},
+		{"header hex wires", "2 0x5\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n",
+			`xag: bristol header: bad integer "0x5"`},
+		{"header trailing junk", "2 5abc\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n",
+			`xag: bristol header: bad integer "5abc"`},
+		{"negative gate count", "-1 5\n3 1 1 1\n1 1\n",
+			"xag: bristol header: implausible sizes (-1 gates, 5 wires)"},
+		{"zero wires", "0 0\n0\n0\n",
+			"xag: bristol header: implausible sizes (0 gates, 0 wires)"},
+		{"input count mismatch", "2 5\n3 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n",
+			"xag: bristol input header arity mismatch"},
+		{"input width non-integer", "2 5\n3 1 q 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n",
+			`xag: bristol input width: bad integer "q"`},
+		{"input width negative", "2 5\n3 1 -1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n",
+			"xag: bristol input header: negative width -1"},
+		{"inputs exceed wires", "2 5\n1 99\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n",
+			"xag: bristol header: 99 inputs / 1 outputs exceed 5 wires"},
+		{"outputs exceed wires", "2 5\n3 1 1 1\n1 99\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n",
+			"xag: bristol header: 3 inputs / 99 outputs exceed 5 wires"},
+		{"truncated after header", "2 5\n3 1 1 1\n1 1\n",
+			"xag: bristol gate 0: unexpected EOF"},
+		{"truncated mid gates", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n",
+			"xag: bristol gate 1: unexpected EOF"},
+		{"trailing extra gate", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n2 1 3 2 4 XOR\n2 1 0 1 3 AND\n",
+			`xag: bristol: trailing data "2 1 0 1 3 AND" after 2 declared gates`},
+		{"gate wire out of range", "2 5\n3 1 1 1\n1 1\n\n2 1 0 99 3 AND\n2 1 3 2 4 XOR\n",
+			"xag: bristol gate 0: undefined wire 99"},
+		{"gate output out of range", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 99 AND\n2 1 3 2 4 XOR\n",
+			"xag: bristol gate 0: output wire 99 out of range"},
+		{"gate reads undefined wire", "2 5\n3 1 1 1\n1 1\n\n2 1 0 4 3 AND\n2 1 3 2 4 XOR\n",
+			"xag: bristol gate 0: undefined wire 4"},
+		{"gate wire non-integer", "2 5\n3 1 1 1\n1 1\n\n2 1 0 one 3 AND\n2 1 3 2 4 XOR\n",
+			`xag: bristol gate 0 input: bad integer "one"`},
+		{"gate arity non-integer", "2 5\n3 1 1 1\n1 1\n\n2x 1 0 1 3 AND\n2 1 3 2 4 XOR\n",
+			`xag: bristol gate 0 arity: bad integer "2x"`},
+		{"gate field count", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 AND\n2 1 3 2 4 XOR\n",
+			"xag: bristol gate 0: field count"},
+		{"unknown op", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 3 NAND\n2 1 3 2 4 XOR\n",
+			`xag: bristol gate 0: unknown op "NAND"`},
+		{"xor arity", "2 5\n3 1 1 1\n1 1\n\n1 1 0 3 AND\n2 1 3 2 4 XOR\n",
+			"xag: bristol gate 0: AND needs 2 input(s) and 1 output"},
+		{"eq constant out of range", "1 2\n1 1\n1 1\n\n1 1 2 1 EQ\n",
+			"xag: bristol gate 0: EQ constant must be 0 or 1"},
+		{"mand arity mismatch", "1 3\n2 1 1\n1 1\n\n3 1 0 1 0 2 MAND\n",
+			"xag: bristol gate 0: MAND arity mismatch"},
+		{"output wire undefined", "1 9\n3 1 1 1\n1 1\n\n2 1 0 1 3 AND\n",
+			"xag: bristol output wire 8 undefined"},
+		{"gate output collides with primary input", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 2 AND\n2 1 2 1 4 XOR\n",
+			"xag: bristol gate 0: output wire 2 collides with primary input 2"},
+		{"gate output redefines gate wire", "3 5\n2 1 1\n1 1\n\n2 1 0 1 2 AND\n2 1 0 1 2 XOR\n2 1 2 1 4 XOR\n",
+			"xag: bristol gate 1: output wire 2 already defined"},
+		{"mand output collides with primary input", "1 4\n2 1 1\n1 1\n\n4 2 0 1 0 1 1 3 MAND\n",
+			"xag: bristol gate 0: output wire 1 collides with primary input 1"},
+		{"eqw output collides with primary input", "2 4\n2 1 1\n1 1\n\n1 1 0 1 EQW\n2 1 1 0 3 AND\n",
+			"xag: bristol gate 0: output wire 1 collides with primary input 1"},
+		{"gate output non-integer", "2 5\n3 1 1 1\n1 1\n\n2 1 0 1 x3 AND\n2 1 3 2 4 XOR\n",
+			`xag: bristol gate 0 output: bad integer "x3"`},
+		{"gate output arity non-integer", "2 5\n3 1 1 1\n1 1\n\n2 1x 0 1 3 AND\n2 1 3 2 4 XOR\n",
+			`xag: bristol gate 0 arity: bad integer "1x"`},
+		// The two maximal widths wrap an int sum around to 2 inputs, which
+		// once passed the wire-count check as a 2-PI circuit.
+		{"input widths overflow", "1 3\n3 9223372036854775807 9223372036854775807 4\n1 1\n\n2 1 0 1 2 AND\n",
+			"xag: bristol header: input widths exceed 3 wires"},
+		{"output widths overflow", "1 3\n2 1 1\n2 9223372036854775807 9223372036854775807\n\n2 1 0 1 2 AND\n",
+			"xag: bristol header: output widths exceed 3 wires"},
 	}
 	for _, tc := range cases {
 		net, err := ReadBristol(strings.NewReader(tc.src))
@@ -175,8 +218,30 @@ func TestBristolMalformedInputs(t *testing.T) {
 			t.Errorf("%s: accepted malformed input (got %d nodes)", tc.name, net.NumNodes())
 			continue
 		}
-		if err.Error() == "" {
-			t.Errorf("%s: empty error message", tc.name)
+		if err.Error() != tc.msg {
+			t.Errorf("%s: error %q, want %q", tc.name, err.Error(), tc.msg)
 		}
+	}
+}
+
+// TestReadBristolAllocs pins the parser's allocation to what its input
+// costs: adder-8's 1,159-byte netlist once paid for a 1 MiB scanner buffer
+// and a formatted error context per integer field.
+func TestReadBristolAllocs(t *testing.T) {
+	src, err := os.ReadFile("testdata/adder8.bristol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := ReadBristol(bytes.NewReader(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 64<<10 {
+		t.Fatalf("ReadBristol allocates %d bytes per call on adder-8, want under 64 KiB", perCall)
 	}
 }

@@ -17,13 +17,15 @@ func FuzzReadBristol(f *testing.F) {
 	f.Add("0 0\n0\n0\n")
 	f.Add("garbage")
 	// Seeds for the hardened paths: malformed integers, out-of-range wires,
-	// gate-count mismatches, truncated and over-long files.
+	// gate-count mismatches, truncated and over-long files, and header
+	// widths whose sum wraps around.
 	f.Add("1 2\n1 0x10\n1 1\n\n1 1 0 1 INV\n")
 	f.Add("1 2\n1 1\n1 1\n\n2 1 0 9 1 AND\n")
 	f.Add("2 3\n1 1\n1 1\n\n1 1 0 1 INV\n")
 	f.Add("1 3\n1 1\n1 1\n\n1 1 0 1 INV\n1 1 1 2 INV\n")
 	f.Add("1 2\n1 -1\n1 1\n\n1 1 0 1 INV\n")
 	f.Add("1 2\n1 1\n1 1\n\n1 1 0 1abc INV\n")
+	f.Add("1 3\n3 9223372036854775807 9223372036854775807 4\n1 1\n\n2 1 0 1 2 AND\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			return
